@@ -12,6 +12,7 @@
 #include "obs/span_wire.hpp"
 #include "obs/trace.hpp"
 #include "parallel/engine.hpp"
+#include "solvers/power_iteration.hpp"
 #include "support/timer.hpp"
 #include "transforms/sv_microkernel.hpp"
 
@@ -69,47 +70,79 @@ void combine_cross_segment(double* mine, double* theirs, bool is_low,
   }
 }
 
-/// One rank's y = W x: fitness scaling fused into the banded blocked
-/// butterfly for the local levels, then one overlapped pairwise exchange
-/// per cross-rank level.  `recv` is a block-sized scratch buffer.
-void apply_w_rank(Exchange& exchange, const BlockLayout& layout,
-                  std::span<const transforms::Factor2> sites,
-                  std::span<const double> fitness_block,
-                  const transforms::BlockedPlan& plan,
-                  const transforms::SvKernels* sv, std::span<const double> x,
-                  std::span<double> y, std::span<double> recv) {
-  const unsigned rank = exchange.rank();
-  const unsigned local_levels = log2_exact(layout.block_size());
-  {
-    // Bottom nu-k levels: the same cache-blocked banded kernel (and sv
-    // microkernel tier) the serial blocked solver runs, on this rank's
-    // block only.  Rank-local compute is serial by design — the
-    // parallelism of a distributed solve is across ranks.
-    QS_TRACE_SPAN_ARG("dist.local_band", distributed, rank);
-    transforms::apply_blocked_butterfly_fused(x, y, sites.first(local_levels),
-                                              fitness_block, {},
-                                              parallel::serial_engine(), plan);
+/// The sites of a model the distributed kernels can run.
+std::span<const transforms::Factor2> checked_sites(const core::MutationModel& model) {
+  if (model.kind() == core::MutationKind::grouped) {
+    throw UnsupportedModelError(model.kind());
   }
-  for (unsigned k = local_levels; k < layout.nu(); ++k) {
-    const std::size_t stride = std::size_t{1} << k;
-    const unsigned partner = layout.partner(rank, stride);
-    const bool is_low = rank < partner;
-    const transforms::Factor2 f = sites[k];
-    QS_TRACE_SPAN_ARG("dist.exchange", distributed, k);
-    QS_TRACE_COUNTER("dist.exchange_messages", 1);
-    double* mine = y.data();
-    double* theirs = recv.data();
-    const std::uint64_t exchange_start = monotonic_ns();
-    exchange.sendrecv_overlapped(
-        partner, y, recv, k,
-        [mine, theirs, is_low, f, sv](std::size_t begin, std::size_t end) {
-          combine_cross_segment(mine + begin, theirs + begin, is_low,
-                                end - begin, f, sv);
-        });
-    static obs::Histogram& exchange_hist = obs::histogram("dist.exchange");
-    exchange_hist.record_ns(monotonic_ns() - exchange_start);
-  }
+  return model.site_factors();
 }
+
+/// The power loop's global operations over the Exchange: each quantity is a
+/// per-block tree partial combined by a tree-ordered allreduce under its own
+/// tag, which equals the serial tree_engine() reduction bit for bit.
+class ExchangeReducer final : public solvers::PowerReducer {
+ public:
+  ExchangeReducer(Exchange& exchange, bool gather)
+      : exchange_(exchange), gather_(gather) {}
+
+  bool root() const override { return exchange_.rank() == 0; }
+  double dot_xx(std::span<const double> x) override {
+    return exchange_.allreduce_sum(tree_dot(x, x), kTagXX);
+  }
+  double dot_xy(std::span<const double> x, std::span<const double> y) override {
+    return exchange_.allreduce_sum(tree_dot(x, y), kTagXY);
+  }
+  double residual_sq(std::span<const double> x, std::span<const double> y,
+                     double lambda) override {
+    const double* yp = y.data();
+    const double* xp = x.data();
+    const double partial =
+        tree_reduce(std::size_t{0}, x.size(), [yp, xp, lambda](std::size_t i) {
+          const double r = yp[i] - lambda * xp[i];
+          return r * r;
+        });
+    return exchange_.allreduce_sum(partial, kTagRes2);
+  }
+  double norm1(std::span<const double> y) override {
+    return exchange_.allreduce_sum(tree_abs_sum(y), kTagNorm);
+  }
+  double sign_sum(std::span<const double> x) override {
+    return exchange_.allreduce_sum(tree_sum(x), kTagSign);
+  }
+  Control agree(Control mine) override {
+    double word = mine.stop ? 1.0 : 0.0;
+    if (root() && mine.time_due) word += kControlTimeBit;
+    const double agreed = exchange_.allreduce_sum(word, kTagControl);
+    return {std::fmod(agreed, kControlTimeBit) != 0.0, agreed >= kControlTimeBit};
+  }
+  std::span<const double> full_iterate(std::span<const double> x) override {
+    if (root()) full_.resize(x.size() * exchange_.rank_count());
+    exchange_.gather_to_root(x, full_, kTagGather);
+    return full_;
+  }
+  void final_vector(std::vector<double>& x, bool normalise) override {
+    if (!gather_) {
+      // Capacity mode: no rank materialises the full vector; blocks are
+      // normalised by the tree-ordered global 1-norm instead.
+      if (normalise) {
+        linalg::scale(x, 1.0 / exchange_.allreduce_sum(tree_abs_sum(x),
+                                                        kTagFinalNorm));
+      }
+      return;
+    }
+    full_iterate(x);
+    x = std::move(full_);  // empty off the root
+    // The serial left-to-right 1-norm on the gathered vector, so rank 0's
+    // result is bit-identical to the facade's.
+    if (normalise && root()) linalg::normalize1(x);
+  }
+
+ private:
+  Exchange& exchange_;
+  bool gather_;
+  std::vector<double> full_;  ///< Rank 0's gather target.
+};
 
 /// Ships every rank's span buffer to rank 0 and merges them into its
 /// snapshot, so one Chrome trace shows per-rank tracks with the request's
@@ -191,80 +224,64 @@ const char* to_string(ExchangeKind kind) {
   return "unknown";
 }
 
-DistributedVector::DistributedVector(const BlockLayout& layout)
-    : layout_(&layout),
-      blocks_(layout.rank_count(), std::vector<double>(layout.block_size(), 0.0)) {}
+RankFmmpOperator::RankFmmpOperator(Exchange& exchange, const BlockLayout& layout,
+                                   const core::MutationModel& model,
+                                   std::span<const double> fitness_block,
+                                   const transforms::BlockedPlan& plan)
+    : RankFmmpOperator(exchange, layout, checked_sites(model), fitness_block,
+                       plan) {}
 
-DistributedVector DistributedVector::scatter(const BlockLayout& layout,
-                                             std::span<const double> global) {
-  require(global.size() == layout.block_size() * layout.rank_count(),
-          "DistributedVector::scatter: dimension mismatch");
-  DistributedVector out(layout);
-  for (unsigned rank = 0; rank < layout.rank_count(); ++rank) {
-    const auto begin = global.begin() + static_cast<std::ptrdiff_t>(
-                                            layout.block_begin(rank));
-    std::copy(begin, begin + static_cast<std::ptrdiff_t>(layout.block_size()),
-              out.blocks_[rank].begin());
-  }
-  return out;
+RankFmmpOperator::RankFmmpOperator(Exchange& exchange, const BlockLayout& layout,
+                                   std::span<const transforms::Factor2> sites,
+                                   std::span<const double> fitness_block,
+                                   const transforms::BlockedPlan& plan)
+    : exchange_(exchange),
+      layout_(layout),
+      sites_(sites),
+      fitness_block_(fitness_block),
+      plan_(plan),
+      sv_(transforms::resolve_sv_kernels(plan.sv_kernel)),
+      recv_(layout.block_size()) {
+  require(exchange.rank_count() == layout.rank_count(),
+          "RankFmmpOperator: exchange/layout rank count mismatch");
+  require(sites.size() == layout.nu(),
+          "RankFmmpOperator: factor count does not match nu");
+  require(fitness_block.size() == layout.block_size(),
+          "RankFmmpOperator: fitness block has the wrong size");
 }
 
-std::vector<double> DistributedVector::gather() const {
-  std::vector<double> global(layout_->block_size() * layout_->rank_count());
-  for (unsigned rank = 0; rank < layout_->rank_count(); ++rank) {
-    std::copy(blocks_[rank].begin(), blocks_[rank].end(),
-              global.begin() +
-                  static_cast<std::ptrdiff_t>(layout_->block_begin(rank)));
+void RankFmmpOperator::apply(std::span<const double> x, std::span<double> y) const {
+  const unsigned rank = exchange_.rank();
+  const unsigned local_levels = log2_exact(layout_.block_size());
+  {
+    // Bottom nu-k levels: the same cache-blocked banded kernel (and sv
+    // microkernel tier) the serial blocked solver runs, on this rank's
+    // block only.  Rank-local compute is serial by design — the
+    // parallelism of a distributed solve is across ranks.
+    QS_TRACE_SPAN_ARG("dist.local_band", distributed, rank);
+    transforms::apply_blocked_butterfly_fused(x, y, sites_.first(local_levels),
+                                              fitness_block_, {},
+                                              parallel::serial_engine(), plan_);
   }
-  return global;
-}
-
-void distributed_apply_w(const core::MutationModel& model,
-                         const core::Landscape& landscape, DistributedVector& v,
-                         TrafficStats& stats, const transforms::BlockedPlan& plan) {
-  const BlockLayout& layout = v.layout();
-  require(model.nu() == layout.nu(), "distributed_apply_w: model nu mismatch");
-  require(landscape.dimension() == sequence_count(layout.nu()),
-          "distributed_apply_w: landscape dimension mismatch");
-  if (model.kind() == core::MutationKind::grouped) {
-    throw UnsupportedModelError(model.kind());
-  }
-
-  const auto& sites = model.site_factors();
-  const std::size_t block = layout.block_size();
-  const unsigned ranks = layout.rank_count();
-  const unsigned local_levels = log2_exact(block);
-  const auto f = landscape.values();
-  const transforms::SvKernels* sv = transforms::resolve_sv_kernels(plan.sv_kernel);
-
-  // Superstep 1 (fully local): fitness scaling fused into the banded
-  // blocked butterfly over every level whose stride stays inside a block.
-  QS_TRACE_SPAN("dist.local_band", distributed);
-  for (unsigned rank = 0; rank < ranks; ++rank) {
-    auto mine = v.block(rank);
-    transforms::apply_blocked_butterfly_fused(
-        mine, mine, std::span<const transforms::Factor2>(sites).first(local_levels),
-        f.subspan(layout.block_begin(rank), block), {}, parallel::serial_engine(),
-        plan);
-  }
-
-  // Supersteps 2..: one pairwise block exchange per cross-rank level.  The
-  // lower rank of each pair holds the "lo" entries, its partner the "hi"
-  // entries, at identical offsets within their blocks; both blocks live in
-  // this address space, so the combine kernel writes both halves directly.
-  for (unsigned k = local_levels; k < layout.nu(); ++k) {
+  for (unsigned k = local_levels; k < layout_.nu(); ++k) {
     const std::size_t stride = std::size_t{1} << k;
+    const unsigned partner = layout_.partner(rank, stride);
+    const bool is_low = rank < partner;
+    const transforms::Factor2 f = sites_[k];
+    const transforms::SvKernels* sv = sv_;
     QS_TRACE_SPAN_ARG("dist.exchange", distributed, k);
-    QS_TRACE_COUNTER("dist.exchange_messages", 2 * (ranks / 2));
-    for (unsigned lo = 0; lo < ranks; ++lo) {
-      const unsigned hi = layout.partner(lo, stride);
-      if (hi < lo) continue;  // visit each pair once, from the lower rank
-      // Simulated MPI_Sendrecv: both ranks ship their block to the partner.
-      stats.messages += 2;
-      stats.doubles_moved += 2 * block;
-      combine_cross_segment(v.block(lo).data(), v.block(hi).data(), true, block,
-                            sites[k], sv);
-    }
+    QS_TRACE_COUNTER("dist.exchange_messages", 1);
+    double* mine = y.data();
+    double* theirs = recv_.data();
+    const std::uint64_t exchange_start = monotonic_ns();
+    exchange_.sendrecv_overlapped(
+        partner, y, recv_, k,
+        [mine, theirs, is_low, f, sv](std::size_t begin, std::size_t end) {
+          combine_cross_segment(mine + begin, theirs + begin, is_low,
+                                end - begin, f, sv);
+        });
+    static obs::Histogram& exchange_hist = obs::histogram("dist.exchange");
+    exchange_hist.record_ns(monotonic_ns() - exchange_start);
   }
 }
 
@@ -282,77 +299,27 @@ DistributedPowerResult distributed_power_rank(
     std::span<const double> fitness_block, const DistributedPowerOptions& options,
     const io::SolverCheckpoint* resume) {
   const unsigned rank = exchange.rank();
-  const bool root = rank == 0;
   const std::size_t block = layout.block_size();
   // Span-shipping cutoff: a forked rank only ships spans that started at or
   // after its own entry (everything earlier is the parent's, already in
   // rank 0's rings).  Taken before any work so no own span is lost.
   const std::uint64_t rank_start_ns = monotonic_ns();
-  require(exchange.rank_count() == layout.rank_count(),
-          "distributed_power_rank: exchange/layout rank count mismatch");
-  require(sites.size() == layout.nu(),
-          "distributed_power_rank: factor count does not match nu");
-  require(fitness_block.size() == block,
-          "distributed_power_rank: fitness block has the wrong size");
+  const RankFmmpOperator op(exchange, layout, sites, fitness_block, options.plan);
 
-  const transforms::SvKernels* sv =
-      transforms::resolve_sv_kernels(options.plan.sv_kernel);
-
-  DistributedPowerResult out;
-  out.rank_count = layout.rank_count();
-  out.plan_kernel = transforms::resolved_sv_kernel_name(options.plan.sv_kernel);
-  out.local_levels = log2_exact(block);
-
-  // Replicated control plane: every rank runs its own IterationDriver on
-  // identical allreduced values, so every verdict (convergence, stall,
-  // guard, cancellation) is taken identically everywhere.  Non-root ranks
-  // strip the I/O and observability hooks — those fire on rank 0 only —
-  // but keep identical decision state.
-  DistributedPowerOptions local = options;
-  if (!root) {
-    local.checkpoint_path.clear();
-    local.checkpoint_sink = nullptr;
-    local.on_residual = nullptr;
-  }
-  bool agreed_stop = false;
-  const bool vote_stop = static_cast<bool>(options.should_stop);
-  const bool control_word_needed =
-      vote_stop || options.checkpoint_every_seconds > 0.0;
-  if (vote_stop) {
-    // The driver polls the *agreed* verdict, computed by the control-word
-    // allreduce below before each observe; any rank's vote cancels all.
-    local.should_stop = [&agreed_stop] { return agreed_stop; };
-  }
-  // Whether checkpoints are written at all — evaluated on the ORIGINAL
-  // options, which every rank shares, so the gather rendezvous below is a
-  // replicated decision even though only rank 0 writes.
-  const bool checkpoint_configured =
-      (options.checkpoint_every > 0 || options.checkpoint_every_seconds > 0.0) &&
-      (options.checkpoint_sink || !options.checkpoint_path.empty());
-
-  solvers::IterationDriver driver(local, io::SolverKind::power);
+  // The serial loop's options; the engine and workspace do not apply to a
+  // rank (its compute is serial and its buffers are its own).  Non-root
+  // ranks keep every hook: their drivers do not report.
+  solvers::PowerOptions loop_options;
+  static_cast<solvers::IterationOptions&>(loop_options) = options;
+  loop_options.shift = options.shift;
+  loop_options.engine = nullptr;
+  loop_options.workspace = nullptr;
 
   std::vector<double> x(block);
-  std::vector<double> y(block);
-  std::vector<double> recv(block);
-  std::vector<double> full;  // rank 0's gather target (checkpoints, result)
-  if (root && (checkpoint_configured || options.gather_eigenvector)) {
-    full.resize(block * static_cast<std::size_t>(layout.rank_count()));
-  }
-  auto full_span = [&]() {
-    return root ? std::span<double>(full) : std::span<double>{};
-  };
-
-  solvers::IterationTrace trace;
   if (resume != nullptr) {
-    // Scalars verbatim on every rank; the iterate slice taken locally (the
-    // wrappers validated finiteness and solver kind before spawning ranks).
+    // The iterate slice verbatim; the loop checks the whole checkpoint.
     require(resume->eigenvector.size() == block * layout.rank_count(),
             "distributed_power_rank: checkpoint dimension mismatch");
-    trace.start_iteration = static_cast<unsigned>(resume->iteration);
-    trace.eigenvalue = resume->eigenvalue;
-    trace.residual = resume->residual;
-    driver.restore(*resume);
     const double* src = resume->eigenvector.data() + layout.block_begin(rank);
     std::copy(src, src + block, x.begin());
   } else {
@@ -364,121 +331,17 @@ DistributedPowerResult distributed_power_rank(
     const double inv = 1.0 / norm;
     for (std::size_t t = 0; t < block; ++t) x[t] = fitness_block[t] * inv;
   }
-  out.eigenvalue = trace.eigenvalue;
-  out.residual = trace.residual;
-  out.iterations = trace.start_iteration;
 
-  const double mu = options.shift;
-  std::uint64_t last_checkpoint_ns = monotonic_ns();  // rank 0 time cadence
-  bool agreed_time_due = false;
+  ExchangeReducer reducer(exchange, options.gather_eigenvector);
+  solvers::PowerResult solved = solvers::run_power_iteration(
+      op, std::move(x), resume, loop_options, reducer);
 
-  // The loop below mirrors solvers::run_power_loop operation for operation;
-  // every global quantity is formed as (per-block tree partial, tree-ordered
-  // allreduce), which equals the serial tree_engine() reduction bit for bit.
-  for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations;
-       ++it) {
-    QS_TRACE_SPAN_ARG("power.iteration", solver, it);
-    apply_w_rank(exchange, layout, sites, fitness_block, options.plan, sv, x, y,
-                 recv);
-    out.iterations = it;
-
-    if (driver.should_check(it, options.max_iterations)) {
-      const double xx = exchange.allreduce_sum(tree_dot(x, x), kTagXX);
-      const double xy = exchange.allreduce_sum(tree_dot(x, y), kTagXY);
-      const double lambda = xy / xx;
-      const double* yp = y.data();
-      const double* xp = x.data();
-      const double res2_local = tree_reduce(
-          std::size_t{0}, block, [yp, xp, lambda](std::size_t i) {
-            const double r = yp[i] - lambda * xp[i];
-            return r * r;
-          });
-      const double res2 = exchange.allreduce_sum(res2_local, kTagRes2);
-      if (!driver.guard({lambda, res2}, out)) break;
-      out.eigenvalue = lambda;
-      out.residual =
-          std::sqrt(res2) / std::max(std::abs(lambda) * std::sqrt(xx), 1e-300);
-
-      agreed_time_due = false;
-      if (control_word_needed) {
-        double word = 0.0;
-        if (vote_stop && options.should_stop()) word += 1.0;
-        if (root && options.checkpoint_every_seconds > 0.0 &&
-            static_cast<double>(monotonic_ns() - last_checkpoint_ns) * 1e-9 >=
-                options.checkpoint_every_seconds) {
-          word += kControlTimeBit;
-        }
-        const double agreed = exchange.allreduce_sum(word, kTagControl);
-        agreed_stop = std::fmod(agreed, kControlTimeBit) != 0.0;
-        agreed_time_due = agreed >= kControlTimeBit;
-      }
-
-      const solvers::IterationDriver::Verdict verdict =
-          driver.observe(it, out.residual, out);
-      if (verdict != solvers::IterationDriver::Verdict::proceed) {
-        if (verdict == solvers::IterationDriver::Verdict::cancelled &&
-            checkpoint_configured) {
-          // Flush the finite pre-update iterate (the result of iteration
-          // it-1), gathered to rank 0 — same content the serial loop
-          // writes, so a restart resumes exactly this aborted iteration.
-          exchange.gather_to_root(x, full_span(), kTagGather);
-          if (root) driver.write_checkpoint(it - 1, out, full, it - 1);
-        }
-        break;
-      }
-    }
-
-    if (mu != 0.0) {
-      for (std::size_t t = 0; t < block; ++t) y[t] -= mu * x[t];
-    }
-    const double norm = exchange.allreduce_sum(tree_abs_sum(y), kTagNorm);
-    if (!driver.guard({norm}, out)) break;
-    require(norm > 0.0, "distributed_power_iteration: iterate collapsed to zero");
-    const double inv = 1.0 / norm;
-    for (std::size_t t = 0; t < block; ++t) x[t] = y[t] * inv;
-
-    const bool iter_due = options.checkpoint_every > 0 &&
-                          it % options.checkpoint_every == 0;
-    if (checkpoint_configured && (iter_due || agreed_time_due)) {
-      // All ranks rendezvous for the gather (the decision is replicated:
-      // iteration cadence is deterministic, time cadence was agreed in the
-      // control word); only rank 0 writes.
-      exchange.gather_to_root(x, full_span(), kTagGather);
-      if (root) {
-        driver.write_checkpoint(it, out, full, it);
-        last_checkpoint_ns = monotonic_ns();
-      }
-      agreed_time_due = false;
-    }
-  }
-
-  if (out.failure == solvers::SolverFailure::none) {
-    // Perron orientation, then the exact final normalisation of the serial
-    // loop: reduce_sum in tree order, and — on the gathered vector — the
-    // serial linalg::normalize1 (left-to-right 1-norm), so rank 0's result
-    // is bit-identical to the facade's.
-    const double s = exchange.allreduce_sum(tree_sum(x), kTagSign);
-    if (s < 0.0) linalg::scale(x, -1.0);
-    if (options.gather_eigenvector) {
-      exchange.gather_to_root(x, full_span(), kTagGather);
-      if (root) {
-        out.eigenvector = std::move(full);
-        linalg::normalize1(out.eigenvector);
-      }
-    } else {
-      // Capacity mode: no rank materialises the full vector; blocks are
-      // normalised by the tree-ordered global 1-norm instead.
-      const double norm1 =
-          exchange.allreduce_sum(tree_abs_sum(x), kTagFinalNorm);
-      linalg::scale(x, 1.0 / norm1);
-      out.eigenvector.assign(x.begin(), x.end());
-    }
-  } else if (options.gather_eigenvector) {
-    // Failed or cancelled: gather the last iterate anyway (post-mortem
-    // parity with the serial loop, which leaves it in place).
-    exchange.gather_to_root(x, full_span(), kTagGather);
-    if (root) out.eigenvector = std::move(full);
-  }
+  DistributedPowerResult out;
+  static_cast<solvers::IterationResult&>(out) = solved;
+  out.eigenvector = std::move(solved.eigenvector);
+  out.rank_count = layout.rank_count();
+  out.plan_kernel = transforms::resolved_sv_kernel_name(options.plan.sv_kernel);
+  out.local_levels = log2_exact(block);
 
   // Aggregate traffic over all ranks.  The snapshot is taken before the
   // aggregation allreduce so the aggregation itself is not counted.
@@ -509,11 +372,8 @@ DistributedPowerResult run_distributed(const core::MutationModel& model,
                                        const DistributedPowerOptions& options,
                                        const FitnessBlockFn& fitness,
                                        const io::SolverCheckpoint* resume) {
-  if (model.kind() == core::MutationKind::grouped) {
-    throw UnsupportedModelError(model.kind());
-  }
+  const auto sites = checked_sites(model);
   const BlockLayout layout(model.nu(), rank_count);
-  const auto& sites = model.site_factors();
 
   DistributedPowerResult root_result;
   auto body = [&](Exchange& exchange) {
@@ -546,6 +406,14 @@ DistributedPowerResult run_distributed(const core::MutationModel& model,
   return root_result;
 }
 
+/// Each rank's block of a full landscape.
+FitnessBlockFn landscape_blocks(const core::Landscape& landscape) {
+  return [values = landscape.values()](const BlockLayout& layout, unsigned rank) {
+    const auto block = values.subspan(layout.block_begin(rank), layout.block_size());
+    return std::vector<double>(block.begin(), block.end());
+  };
+}
+
 }  // namespace
 
 DistributedPowerResult distributed_power_iteration(
@@ -553,13 +421,8 @@ DistributedPowerResult distributed_power_iteration(
     unsigned rank_count, const DistributedPowerOptions& options) {
   require(landscape.dimension() == model.dimension(),
           "distributed_power_iteration: dimension mismatch");
-  const auto values = landscape.values();
-  auto fitness = [values](const BlockLayout& layout, unsigned rank) {
-    const auto block = values.subspan(layout.block_begin(rank),
-                                      layout.block_size());
-    return std::vector<double>(block.begin(), block.end());
-  };
-  return run_distributed(model, rank_count, options, fitness, nullptr);
+  return run_distributed(model, rank_count, options, landscape_blocks(landscape),
+                         nullptr);
 }
 
 DistributedPowerResult distributed_power_iteration_blocks(
@@ -579,30 +442,8 @@ DistributedPowerResult resume_distributed_power_iteration(
   require(checkpoint.eigenvector.size() == model.dimension(),
           "resume_distributed_power_iteration: checkpoint dimension does not "
           "match the model");
-
-  // Validate once, before any rank exists: wrong solver kind throws, a
-  // poisoned iterate returns without iterating (exactly like the serial
-  // resume path).
-  solvers::IterationTrace trace;
-  solvers::IterationResult probe;
-  if (!solvers::restore_trace(checkpoint, io::SolverKind::power, trace, probe)) {
-    DistributedPowerResult out;
-    static_cast<solvers::IterationResult&>(out) = probe;
-    out.eigenvalue = trace.eigenvalue;
-    out.residual = trace.residual;
-    out.iterations = trace.start_iteration;
-    out.eigenvector = std::move(trace.iterate);
-    out.rank_count = rank_count;
-    return out;
-  }
-
-  const auto values = landscape.values();
-  auto fitness = [values](const BlockLayout& layout, unsigned rank) {
-    const auto block = values.subspan(layout.block_begin(rank),
-                                      layout.block_size());
-    return std::vector<double>(block.begin(), block.end());
-  };
-  return run_distributed(model, rank_count, options, fitness, &checkpoint);
+  return run_distributed(model, rank_count, options, landscape_blocks(landscape),
+                         &checkpoint);
 }
 
 }  // namespace qs::distributed

@@ -10,14 +10,15 @@
 // tree order of distributed/reduction.hpp, which makes every number the
 // solve produces independent of the rank count and the transport.
 //
-// The iteration control plane is solvers::IterationDriver, replicated
-// MPI-style: every rank runs its own driver on identical allreduced values,
-// so convergence, stall windows, NaN/Inf guards, and cancellation verdicts
-// are taken identically everywhere without extra communication; the only
-// agreement traffic is one small control-word allreduce per residual check,
-// exchanged when cooperative cancellation or wall-clock checkpointing is
-// configured.  Checkpoint writes and observability hooks fire on rank 0
-// only, against the gathered full iterate, so checkpoint files interoperate
+// There is no distributed power loop: every rank runs the serial loop,
+// solvers::run_power_iteration, on its block through RankFmmpOperator and
+// an Exchange-backed solvers::PowerReducer.  Each rank runs a replica of the
+// loop's IterationDriver on identical allreduced values, so every verdict
+// (convergence, stall, guard, cancellation) is the same everywhere; the
+// only agreement traffic is one control-word allreduce per residual check,
+// when cancellation or wall-clock checkpointing is configured.  Only rank
+// 0's driver reports (hooks, metrics, trace instants) and writes
+// checkpoints, of the gathered iterate, so checkpoint files interoperate
 // with the serial solver's resume path.
 //
 // Equivalence contract (tested in tests/distributed_exchange_test.cpp and
@@ -25,16 +26,19 @@
 // either transport, the solve is BIT-IDENTICAL — eigenvalue, iteration
 // count, full residual stream, and gathered eigenvector — to the serial
 // facade `resume_power_iteration` run with distributed::tree_engine() as
-// IterationOptions::engine and a tree_landscape_start iterate.
+// IterationOptions::engine and a tree_landscape_start iterate.  Both run the
+// same loop; the tree order of the reductions makes the numbers agree.
 #pragma once
 
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
+#include "core/operators.hpp"
 #include "distributed/block_layout.hpp"
 #include "distributed/exchange.hpp"
 #include "io/binary_io.hpp"
@@ -72,51 +76,47 @@ enum class ExchangeKind {
 
 const char* to_string(ExchangeKind kind);
 
-/// A 2^nu vector held as per-rank blocks.  Legacy single-process container
-/// used by the in-place apply below and by the bench/test harnesses; the
-/// power iteration itself never materialises one (each rank holds only its
-/// own block).
-class DistributedVector {
+/// One rank's share of W x = Q F x (right formulation), over its block: the
+/// rank-local levels through the serial blocked solver's banded kernel with
+/// fitness scaling fused in, then one overlapped pairwise block exchange per
+/// cross-rank level — bit for bit the serial butterfly.  apply() is a
+/// collective; traffic accumulates in exchange.stats().  Every referenced
+/// argument must outlive the operator.
+class RankFmmpOperator final : public core::LinearOperator {
  public:
-  /// Zero-initialised blocks for the given layout.
-  explicit DistributedVector(const BlockLayout& layout);
+  /// Throws UnsupportedModelError for grouped models.
+  RankFmmpOperator(Exchange& exchange, const BlockLayout& layout,
+                   const core::MutationModel& model,
+                   std::span<const double> fitness_block,
+                   const transforms::BlockedPlan& plan = {});
+  RankFmmpOperator(Exchange& exchange, const BlockLayout& layout,
+                   std::span<const transforms::Factor2> sites,
+                   std::span<const double> fitness_block,
+                   const transforms::BlockedPlan& plan = {});
 
-  /// Scatters a global vector into blocks. Requires matching length.
-  static DistributedVector scatter(const BlockLayout& layout,
-                                   std::span<const double> global);
-
-  const BlockLayout& layout() const { return *layout_; }
-
-  std::span<double> block(unsigned rank) { return blocks_[rank]; }
-  std::span<const double> block(unsigned rank) const { return blocks_[rank]; }
-
-  /// Gathers the blocks back into one global vector.
-  std::vector<double> gather() const;
+  seq_t dimension() const override { return layout_.block_size(); }
+  void apply(std::span<const double> x, std::span<double> y) const override;
+  std::string_view name() const override { return "RankFmmp"; }
 
  private:
-  const BlockLayout* layout_;
-  std::vector<std::vector<double>> blocks_;
+  Exchange& exchange_;
+  const BlockLayout& layout_;
+  std::span<const transforms::Factor2> sites_;
+  std::span<const double> fitness_block_;
+  transforms::BlockedPlan plan_;
+  const transforms::SvKernels* sv_;
+  mutable std::vector<double> recv_;  ///< Partner block scratch.
 };
-
-/// Distributed W x = Q F x in place (right formulation): per-rank diagonal
-/// scaling fused into the banded blocked butterfly for the local levels,
-/// then one pairwise block exchange per cross-rank level, combined with the
-/// same sv microkernel the plan resolves for the serial solver.  Throws
-/// UnsupportedModelError for grouped models.  Traffic is accumulated into
-/// `stats`.
-void distributed_apply_w(const core::MutationModel& model,
-                         const core::Landscape& landscape, DistributedVector& v,
-                         TrafficStats& stats,
-                         const transforms::BlockedPlan& plan = {});
 
 /// Options of the distributed power iteration.  Everything IterationOptions
 /// offers works unchanged: tolerance / stall windows, checkpoint_path /
 /// checkpoint_sink / checkpoint_every[_seconds] (written by rank 0 against
 /// the gathered iterate; resumable by the serial solver and vice versa),
 /// on_residual (rank 0), and should_stop (polled on every rank, agreed via
-/// allreduce — any rank can cancel the whole solve).  `engine` is ignored:
-/// reductions are tree-ordered by construction and rank-local compute is
-/// serial (parallelism is across ranks).
+/// allreduce — any rank can cancel the whole solve).  `engine` and
+/// `workspace` are ignored: reductions are tree-ordered by construction,
+/// rank-local compute is serial (parallelism is across ranks), and every
+/// rank owns its buffers.
 struct DistributedPowerOptions : solvers::IterationOptions {
   /// Power-iteration shift (x <- (W - shift I) x updates).
   double shift = 0.0;
@@ -197,11 +197,13 @@ DistributedPowerResult resume_distributed_power_iteration(
     const DistributedPowerOptions& options = {});
 
 /// One rank's body of the distributed power iteration, exposed so tests and
-/// custom launchers can drive it over any Exchange.  `fitness_block` is this
-/// rank's landscape block; `resume`, when set, must be valid on every rank
-/// (scalars are read everywhere, the iterate slice locally).  Returns this
-/// rank's view of the result (rank 0's carries the gathered eigenvector and
-/// the aggregated traffic).
+/// custom launchers can drive it over any Exchange: the rank's start, the
+/// power loop, then traffic aggregation and span shipping.  `fitness_block`
+/// is this rank's landscape block; `resume`, when set, must be the same
+/// checkpoint on every rank (it is checked as a whole before any
+/// collective, so a bad one throws or fails on every rank alike).  Returns
+/// this rank's view of the result (rank 0's carries the gathered
+/// eigenvector and the aggregated traffic).
 DistributedPowerResult distributed_power_rank(
     Exchange& exchange, const BlockLayout& layout,
     std::span<const transforms::Factor2> sites,

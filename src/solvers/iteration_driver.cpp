@@ -27,9 +27,10 @@ const char* kind_name(io::SolverKind kind) {
 }  // namespace
 
 IterationDriver::IterationDriver(const IterationOptions& options,
-                                 io::SolverKind kind)
+                                 io::SolverKind kind, bool reports)
     : options_(options),
       kind_(kind),
+      reports_(reports),
       checkpointing_((options.checkpoint_every > 0 ||
                       options.checkpoint_every_seconds > 0.0) &&
                      (options.checkpoint_sink || !options.checkpoint_path.empty())),
@@ -54,22 +55,14 @@ void IterationDriver::restore(const io::SolverCheckpoint& checkpoint) {
 
 bool IterationDriver::guard(std::initializer_list<double> values,
                             IterationResult& out) const {
-  for (double v : values) {
-    if (!std::isfinite(v)) {
-      QS_TRACE_INSTANT("solver.health_guard", solver, v);
-      out.failure = SolverFailure::non_finite;
-      out.converged = false;
-      return false;
-    }
-  }
-  return true;
+  return guard(std::span<const double>(values.begin(), values.size()), out);
 }
 
 bool IterationDriver::guard(std::span<const double> iterate,
                             IterationResult& out) const {
   for (double v : iterate) {
     if (!std::isfinite(v)) {
-      QS_TRACE_INSTANT("solver.health_guard", solver, v);
+      if (reports_) QS_TRACE_INSTANT("solver.health_guard", solver, v);
       out.failure = SolverFailure::non_finite;
       out.converged = false;
       return false;
@@ -80,28 +73,32 @@ bool IterationDriver::guard(std::span<const double> iterate,
 
 IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
                                                   double residual,
-                                                  IterationResult& out) {
-  if (options_.on_residual) options_.on_residual(iteration, residual);
-  obs::metrics().record_residual(residual);
-  QS_TRACE_INSTANT_ARG("solver.residual", solver, residual, iteration);
-  // Per-check decay ratio r_k / r_{k-1}: the distribution's p50 is the
-  // observed contraction factor, and mass near/above 1.0 flags stagnation
-  // before the stall window fires.  Unitless, so STATS exposes it under
-  // qs_ratio rather than qs_latency_seconds.
-  if (last_residual_ > 0.0 && std::isfinite(residual) && residual > 0.0) {
-    static obs::Histogram& decay_hist = obs::histogram("solver.residual_decay");
-    decay_hist.record(residual / last_residual_);
+                                                  IterationResult& out,
+                                                  std::optional<bool> stop) {
+  if (reports_) {
+    if (options_.on_residual) options_.on_residual(iteration, residual);
+    obs::metrics().record_residual(residual);
+    QS_TRACE_INSTANT_ARG("solver.residual", solver, residual, iteration);
+    // Per-check decay ratio r_k / r_{k-1}: the distribution's p50 is the
+    // observed contraction factor, and mass near/above 1.0 flags stagnation
+    // before the stall window fires.  Unitless, so STATS exposes it under
+    // qs_ratio rather than qs_latency_seconds.
+    if (last_residual_ > 0.0 && std::isfinite(residual) && residual > 0.0) {
+      static obs::Histogram& decay_hist = obs::histogram("solver.residual_decay");
+      decay_hist.record(residual / last_residual_);
+    }
+    last_residual_ = std::isfinite(residual) ? residual : 0.0;
   }
-  last_residual_ = std::isfinite(residual) ? residual : 0.0;
   if (residual <= options_.tolerance) {
-    QS_TRACE_INSTANT_ARG("solver.converged", solver, residual, iteration);
+    if (reports_) QS_TRACE_INSTANT_ARG("solver.converged", solver, residual, iteration);
     out.converged = true;
     return Verdict::converged;
   }
   // Cooperative cancellation sits after the tolerance test: a solve that
   // converged on the same check its deadline expired still reports success.
-  if (options_.should_stop && options_.should_stop()) {
-    QS_TRACE_INSTANT_ARG("solver.cancelled", solver, residual, iteration);
+  if (stop.has_value() ? *stop
+                       : options_.should_stop && options_.should_stop()) {
+    if (reports_) QS_TRACE_INSTANT_ARG("solver.cancelled", solver, residual, iteration);
     out.converged = false;
     out.failure = SolverFailure::cancelled;
     return Verdict::cancelled;
@@ -114,7 +111,9 @@ IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
   if (options_.stall_window > 0 &&
       ++checks_without_progress_ >= options_.stall_window) {
     if (best_residual_ >= window_start_best_ * 0.95) {
-      QS_TRACE_INSTANT_ARG("solver.stalled", solver, best_residual_, iteration);
+      if (reports_) {
+        QS_TRACE_INSTANT_ARG("solver.stalled", solver, best_residual_, iteration);
+      }
       out.stalled = true;
       out.converged = residual <= options_.stall_accept;
       return Verdict::stalled;
@@ -125,25 +124,26 @@ IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
   return Verdict::proceed;
 }
 
+bool IterationDriver::time_due() const {
+  // Read the clock only when the time cadence is configured, so
+  // iteration-only checkpointing costs no clock call.
+  if (!checkpointing_ || options_.checkpoint_every_seconds <= 0.0) return false;
+  return static_cast<double>(monotonic_ns() - last_checkpoint_ns_) * 1e-9 >=
+         options_.checkpoint_every_seconds;
+}
+
 void IterationDriver::maybe_checkpoint(unsigned iteration, IterationResult& out,
                                        std::span<const double> iterate,
                                        std::uint64_t matvec_count, double aux) {
-  if (!checkpointing_) return;
-  bool due = options_.checkpoint_every > 0 &&
-             iteration % options_.checkpoint_every == 0;
-  if (!due && options_.checkpoint_every_seconds > 0.0) {
-    // Time cadence: read the clock only when configured, so iteration-only
-    // checkpointing costs no clock call per iteration.
-    const std::uint64_t now = monotonic_ns();
-    due = static_cast<double>(now - last_checkpoint_ns_) * 1e-9 >=
-          options_.checkpoint_every_seconds;
+  if (iteration_due(iteration) || time_due()) {
+    write_checkpoint(iteration, out, iterate, matvec_count, aux);
   }
-  if (due) write_checkpoint(iteration, out, iterate, matvec_count, aux);
 }
 
 void IterationDriver::write_checkpoint(unsigned iteration, IterationResult& out,
                                        std::span<const double> iterate,
                                        std::uint64_t matvec_count, double aux) {
+  if (!reports_) return;
   QS_TRACE_SPAN_ARG("checkpoint.write", checkpoint, iteration);
   last_checkpoint_ns_ = monotonic_ns();
   io::SolverCheckpoint ck;
@@ -169,21 +169,15 @@ void IterationDriver::write_checkpoint(unsigned iteration, IterationResult& out,
   }
 }
 
-bool restore_trace(const io::SolverCheckpoint& checkpoint, io::SolverKind expected,
-                   IterationTrace& trace, IterationResult& out) {
+bool check_resumable(const io::SolverCheckpoint& checkpoint,
+                     io::SolverKind expected, IterationResult& out) {
   require(checkpoint.solver_kind == expected,
           std::string("resume: checkpoint was written by the '") +
               kind_name(checkpoint.solver_kind) + "' solver, not '" +
               kind_name(expected) + "'");
-  trace.iterate = checkpoint.eigenvector;
-  trace.start_iteration = static_cast<unsigned>(checkpoint.iteration);
-  trace.eigenvalue = checkpoint.eigenvalue;
-  trace.residual = checkpoint.residual;
-  trace.matvec_count = checkpoint.matvec_count;
-  trace.aux = checkpoint.aux;
   // A checkpoint is only ever written with a finite iterate, but the file
   // may come from anywhere; refuse to iterate on a poisoned start.
-  for (double v : trace.iterate) {
+  for (double v : checkpoint.eigenvector) {
     if (!std::isfinite(v)) {
       out.failure = SolverFailure::non_finite;
       out.converged = false;
@@ -191,6 +185,18 @@ bool restore_trace(const io::SolverCheckpoint& checkpoint, io::SolverKind expect
     }
   }
   return true;
+}
+
+bool restore_trace(const io::SolverCheckpoint& checkpoint, io::SolverKind expected,
+                   IterationTrace& trace, IterationResult& out) {
+  const bool resumable = check_resumable(checkpoint, expected, out);
+  trace.iterate = checkpoint.eigenvector;
+  trace.start_iteration = static_cast<unsigned>(checkpoint.iteration);
+  trace.eigenvalue = checkpoint.eigenvalue;
+  trace.residual = checkpoint.residual;
+  trace.matvec_count = checkpoint.matvec_count;
+  trace.aux = checkpoint.aux;
+  return resumable;
 }
 
 }  // namespace qs::solvers

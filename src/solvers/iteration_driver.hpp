@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -91,9 +92,12 @@ struct IterationOptions {
 
   /// Wall-clock checkpoint cadence, unioned with the iteration cadence: a
   /// checkpoint is written when EITHER `checkpoint_every` iterations have
-  /// passed OR this many seconds have elapsed since the last write (the
-  /// clock is read only at residual-guarded checkpoint opportunities, so
-  /// the actual period is quantised to iteration boundaries).  0 disables
+  /// passed OR this many seconds have elapsed since the last write.  The
+  /// clock is sampled at residual checks only: a check that finds the
+  /// interval elapsed writes a checkpoint after that iteration's update, so
+  /// the actual period is quantised to residual checks (every
+  /// `residual_check_every` iterations for the power iteration, serial and
+  /// distributed alike; every cycle for the other solvers).  0 disables
   /// the time cadence.  Use this instead of guessing an iteration count
   /// when the per-iteration cost varies across hosts or problem sizes.
   double checkpoint_every_seconds = 0.0;
@@ -110,13 +114,15 @@ struct IterationOptions {
   /// bitwise-equal trajectories, and handy for progress reporting).
   std::function<void(unsigned iteration, double residual)> on_residual;
 
-  /// Cooperative cancellation: polled at every residual check, AFTER the
-  /// tolerance test (a solve that converged on the same iteration its
-  /// deadline expired still reports success).  Returning true aborts the
-  /// solve at the next iteration boundary with failure = cancelled and a
-  /// final checkpoint flush (when checkpointing is configured) — a deadline
-  /// or client disconnect ends the solve cleanly instead of wedging it.
-  /// The hook must be cheap and thread-safe (typically an atomic load).
+  /// Cooperative cancellation: polled at every residual check and honoured
+  /// AFTER the tolerance test (a solve that converged on the same iteration
+  /// its deadline expired still reports success).  The power iteration
+  /// polls before the on_residual hook, so all ranks can vote together.
+  /// Returning true aborts the solve at the next iteration boundary with
+  /// failure = cancelled and a final checkpoint flush (when checkpointing
+  /// is configured) — a deadline or client disconnect ends the solve
+  /// cleanly instead of wedging it.  The hook must be cheap and thread-safe
+  /// (typically an atomic load).
   std::function<bool()> should_stop;
 };
 
@@ -154,7 +160,12 @@ class IterationDriver {
  public:
   /// `options` must outlive the driver; `kind` stamps every checkpoint so a
   /// resume can refuse state written by a different iteration scheme.
-  IterationDriver(const IterationOptions& options, io::SolverKind kind);
+  /// `reports` is false on the replicas of a distributed solve other than
+  /// rank 0: they take every decision the reporting driver takes, on the
+  /// same values, but fire no hook, record no metric, emit no trace instant
+  /// and write no checkpoint.
+  IterationDriver(const IterationOptions& options, io::SolverKind kind,
+                  bool reports = true);
 
   /// Restores the stall-window accounting from a checkpoint, verbatim.
   void restore(const io::SolverCheckpoint& checkpoint);
@@ -188,12 +199,27 @@ class IterationDriver {
   /// One residual observation: fires the on_residual hook, tests the
   /// tolerance, and advances the stall-window accounting (operation for
   /// operation the power iteration's original algorithm).  The caller
-  /// stamps out.eigenvalue / out.residual before calling.
-  Verdict observe(unsigned iteration, double residual, IterationResult& out);
+  /// stamps out.eigenvalue / out.residual before calling.  `stop` is the
+  /// cancellation vote when the caller took it (the power loop agrees it
+  /// across ranks); unset, should_stop is polled after the tolerance test.
+  Verdict observe(unsigned iteration, double residual, IterationResult& out,
+                  std::optional<bool> stop = std::nullopt);
 
-  /// Periodic checkpoint: persists the current state when the cadence says
-  /// so.  Call only after the health guards passed, so the last checkpoint
-  /// on disk is always a finite, resumable state.  A failing write degrades
+  /// Iteration cadence: true on every checkpoint_every-th iteration when
+  /// checkpointing is configured.
+  bool iteration_due(unsigned iteration) const {
+    return checkpointing_ && options_.checkpoint_every > 0 &&
+           iteration % options_.checkpoint_every == 0;
+  }
+
+  /// Time cadence, sampled now: checkpoint_every_seconds have passed since
+  /// the last write (or construction) and checkpointing is configured.
+  bool time_due() const;
+
+  /// Periodic checkpoint: persists the current state when either cadence
+  /// says so (the clock is sampled on every call).  Call only after the
+  /// health guards passed, so the last checkpoint on disk is always a
+  /// finite, resumable state.  A failing write degrades
   /// durability (counted in out.checkpoint_failures) but must not kill a
   /// long solve.
   void maybe_checkpoint(unsigned iteration, IterationResult& out,
@@ -201,7 +227,8 @@ class IterationDriver {
                         std::uint64_t matvec_count = 0, double aux = 0.0);
 
   /// Unconditional checkpoint write (same failure semantics); used by
-  /// solvers that persist state at irregular boundaries.
+  /// solvers that persist state at irregular boundaries.  A driver that
+  /// does not report writes nothing.
   void write_checkpoint(unsigned iteration, IterationResult& out,
                         std::span<const double> iterate,
                         std::uint64_t matvec_count = 0, double aux = 0.0);
@@ -209,6 +236,7 @@ class IterationDriver {
  private:
   const IterationOptions& options_;
   io::SolverKind kind_;
+  bool reports_;
   bool checkpointing_ = false;
   double best_residual_;
   double window_start_best_;
@@ -218,12 +246,18 @@ class IterationDriver {
                                           ///< last write (time cadence).
 };
 
-/// Builds an IterationTrace from a checkpoint, taking the iterate verbatim.
-/// `expected` is the solver kind doing the resume; a checkpoint written by a
-/// different solver is refused (precondition error with a clear message) —
-/// v2 checkpoints carry no kind and are accepted by the power iteration
-/// only.  Returns false (with failure = non_finite stamped into `out`) when
-/// the checkpointed iterate is poisoned; the caller must not iterate on it.
+/// Checks that a checkpoint can be resumed by the solver of kind `expected`.
+/// A checkpoint written by a different solver is refused (precondition
+/// error with a clear message) — v2 checkpoints carry no kind and are
+/// accepted by the power iteration only.  Returns false (with failure =
+/// non_finite stamped into `out`) when the checkpointed iterate is
+/// poisoned; the caller must not iterate on it.  Reads nothing but the
+/// checkpoint, so every rank of a distributed solve decides identically.
+bool check_resumable(const io::SolverCheckpoint& checkpoint,
+                     io::SolverKind expected, IterationResult& out);
+
+/// Builds an IterationTrace from a checkpoint, taking the iterate verbatim,
+/// after check_resumable (same refusals, same return value).
 bool restore_trace(const io::SolverCheckpoint& checkpoint, io::SolverKind expected,
                    IterationTrace& trace, IterationResult& out);
 

@@ -11,28 +11,11 @@
 namespace qs::solvers {
 namespace {
 
-// The serial fallbacks are templated on the kernel type so that when no
-// engine is configured the lambda is invoked directly and inlined.  (The
-// engine path is allocation-free too: parallel::RangeKernel/PartialKernel
-// are non-owning FunctionRefs, not std::functions — see
-// tests/alloc_guard_test.cpp for the zero-allocation hot-path guard.)
-
-double reduce_dot(const parallel::Engine* engine, std::span<const double> a,
-                  std::span<const double> b) {
-  return engine != nullptr ? engine->reduce_dot(a, b) : linalg::dot(a, b);
-}
-
-double reduce_abs_sum(const parallel::Engine* engine, std::span<const double> v) {
-  return engine != nullptr ? engine->reduce_abs_sum(v) : linalg::norm1(v);
-}
-
-template <typename Kernel>
-double reduce_partials(const parallel::Engine* engine, std::size_t n,
-                       const Kernel& kernel) {
-  return engine != nullptr ? engine->reduce_partials(n, kernel)
-                           : (n == 0 ? 0.0 : kernel(0, n));
-}
-
+// With no engine the element-wise passes and the residual reduction call
+// their lambdas directly, inlined.  (The engine path is allocation-free too:
+// parallel::RangeKernel/PartialKernel are non-owning FunctionRefs, not
+// std::functions — see tests/alloc_guard_test.cpp for the zero-allocation
+// hot-path guard.)
 template <typename Kernel>
 void dispatch(const parallel::Engine* engine, std::size_t n, const Kernel& kernel) {
   if (engine != nullptr) {
@@ -42,20 +25,57 @@ void dispatch(const parallel::Engine* engine, std::size_t n, const Kernel& kerne
   }
 }
 
-/// The core loop, shared by cold starts and resumes.  The iterate in
-/// `trace.iterate` is used verbatim (callers normalise cold starts; resumes
-/// must not re-normalise or the trajectory would diverge from the original
-/// run in the last bits); `driver` carries the (possibly restored)
-/// stall-window accounting.
-PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
-                           IterationDriver driver, const PowerOptions& options) {
-  const std::size_t n = static_cast<std::size_t>(op.dimension());
+/// The engine-local reducer: every global operation is one engine
+/// reduction, or with no engine the serial fallback.
+class EngineReducer final : public PowerReducer {
+ public:
+  explicit EngineReducer(const parallel::Engine* engine) : engine_(engine) {}
 
-  PowerResult out;
-  out.eigenvector = std::move(trace.iterate);
-  out.eigenvalue = trace.eigenvalue;
-  out.residual = trace.residual;
-  out.iterations = trace.start_iteration;
+  bool root() const override { return true; }
+  double dot_xx(std::span<const double> x) override { return dot_xy(x, x); }
+  double dot_xy(std::span<const double> x, std::span<const double> y) override {
+    return engine_ != nullptr ? engine_->reduce_dot(x, y) : linalg::dot(x, y);
+  }
+  double residual_sq(std::span<const double> x, std::span<const double> y,
+                     double lambda) override {
+    const double* yp = y.data();
+    const double* xp = x.data();
+    auto kernel = [yp, xp, lambda](std::size_t begin, std::size_t end) {
+      double acc = 0.0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const double r = yp[i] - lambda * xp[i];
+        acc += r * r;
+      }
+      return acc;
+    };
+    return engine_ != nullptr ? engine_->reduce_partials(x.size(), kernel)
+                              : kernel(0, x.size());
+  }
+  double norm1(std::span<const double> y) override {
+    return engine_ != nullptr ? engine_->reduce_abs_sum(y) : linalg::norm1(y);
+  }
+  double sign_sum(std::span<const double> x) override {
+    return engine_ != nullptr ? engine_->reduce_sum(x) : linalg::sum(x);
+  }
+  Control agree(Control mine) override { return mine; }
+  std::span<const double> full_iterate(std::span<const double> x) override {
+    return x;
+  }
+  void final_vector(std::vector<double>& x, bool normalise) override {
+    if (normalise) linalg::normalize1(x);
+  }
+
+ private:
+  const parallel::Engine* engine_;
+};
+
+/// The iterations proper, from out.iterations + 1 on; `out.eigenvector`
+/// holds the iterate and `driver` the (possibly restored) stall-window
+/// accounting.
+void iterate_power(const core::LinearOperator& op, IterationDriver& driver,
+                   const PowerOptions& options, PowerReducer& reducer,
+                   PowerResult& out) {
+  const std::size_t n = out.eigenvector.size();
 
   // The product buffer comes from the shared workspace when one is
   // configured, so repeated solves (sweeps, recovery retries) reuse it.
@@ -64,34 +84,29 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
       options.workspace != nullptr ? *options.workspace : local_workspace;
   std::span<double> y = workspace.take(core::Workspace::Slot::product, n);
 
-  std::span<double> x_span(out.eigenvector);
+  std::span<double> x(out.eigenvector);
   const double mu = options.shift;
+  // Cancellation votes and the wall-clock checkpoint cadence are agreed at
+  // every residual check, and only when one of them is configured.
+  const bool agree_control =
+      static_cast<bool>(options.should_stop) || options.checkpoint_every_seconds > 0.0;
 
-  for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations; ++it) {
+  for (unsigned it = out.iterations + 1; it <= options.max_iterations; ++it) {
     QS_TRACE_SPAN_ARG("power.iteration", solver, it);
-    op.apply(out.eigenvector, y);  // y = W x (unshifted product)
+    op.apply(x, y);  // y = W x (unshifted product)
     out.iterations = it;
 
+    bool time_due = false;
     if (driver.should_check(it, options.max_iterations)) {
       // Rayleigh quotient from the product already in hand.
-      const double xx = reduce_dot(options.engine, x_span, x_span);
-      const double xy = reduce_dot(options.engine, x_span, y);
+      const double xx = reducer.dot_xx(x);
+      const double xy = reducer.dot_xy(x, y);
       const double lambda = xy / xx;
       // Residual ||y - lambda x||_2 formed explicitly.  (The algebraically
       // equivalent sqrt(yy - xy^2/xx) cancels catastrophically: its noise
       // floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above the
       // tolerances this solver targets.)
-      const double* yp = y.data();
-      const double* xp = out.eigenvector.data();
-      const double res2 = reduce_partials(
-          options.engine, n, [yp, xp, lambda](std::size_t begin, std::size_t end) {
-            double acc = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-              const double r = yp[i] - lambda * xp[i];
-              acc += r * r;
-            }
-            return acc;
-          });
+      const double res2 = reducer.residual_sq(x, y, lambda);
       // Numerical-health guard: a NaN/Inf iterate makes both the Rayleigh
       // quotient and the residual non-finite.  Fail fast with a structured
       // reason instead of spinning max_iterations on garbage.
@@ -99,15 +114,22 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
       out.eigenvalue = lambda;
       out.residual =
           std::sqrt(res2) / std::max(std::abs(lambda) * std::sqrt(xx), 1e-300);
+
+      PowerReducer::Control control;
+      if (agree_control) {
+        control = reducer.agree(
+            {options.should_stop && options.should_stop(), driver.time_due()});
+      }
+      time_due = control.time_due;
       const IterationDriver::Verdict verdict =
-          driver.observe(it, out.residual, out);
+          driver.observe(it, out.residual, out, control.stop);
       if (verdict != IterationDriver::Verdict::proceed) {
         // A cancelled solve (deadline, disconnect, SIGTERM) flushes its
         // finite pre-update iterate — the result of iteration it-1 — so a
         // restart resumes exactly this aborted iteration.
         if (verdict == IterationDriver::Verdict::cancelled &&
             driver.checkpointing()) {
-          driver.write_checkpoint(it - 1, out, out.eigenvector, it - 1);
+          driver.write_checkpoint(it - 1, out, reducer.full_iterate(x), it - 1);
         }
         break;
       }
@@ -118,12 +140,12 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
     // the whole iteration, not just the reductions.
     if (mu != 0.0) {
       double* yp = y.data();
-      const double* xp = out.eigenvector.data();
+      const double* xp = x.data();
       dispatch(options.engine, n, [yp, xp, mu](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) yp[i] -= mu * xp[i];
       });
     }
-    const double norm = reduce_abs_sum(options.engine, y);
+    const double norm = reducer.norm1(y);
     // The 1-norm is computed every iteration anyway, so checking it for
     // NaN/Inf costs one compare and catches a poisoned product at the
     // earliest possible iteration — before it can reach a checkpoint.
@@ -131,28 +153,17 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
     require(norm > 0.0, "power_iteration: iterate collapsed to zero");
     const double inv = 1.0 / norm;
     const double* yp = y.data();
-    double* xp = out.eigenvector.data();
+    double* xp = x.data();
     dispatch(options.engine, n, [yp, xp, inv](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) xp[i] = yp[i] * inv;
     });
 
     // Periodic checkpoint, written only after the health guard above passed:
     // the last checkpoint on disk is always a finite, resumable state.
-    driver.maybe_checkpoint(it, out, out.eigenvector, it);
+    if (driver.iteration_due(it) || time_due) {
+      driver.write_checkpoint(it, out, reducer.full_iterate(x), it);
+    }
   }
-
-  // A non-finite exit leaves the garbage iterate in place for post-mortem
-  // inspection but skips the orientation fix (flipping NaNs is meaningless).
-  if (out.failure != SolverFailure::none) return out;
-
-  // Perron orientation: the dominant eigenvector is nonnegative; flip if the
-  // iteration settled on the negative representative.
-  const double s = options.engine != nullptr
-                       ? options.engine->reduce_sum(out.eigenvector)
-                       : linalg::sum(out.eigenvector);
-  if (s < 0.0) linalg::scale(out.eigenvector, -1.0);
-  linalg::normalize1(out.eigenvector);
-  return out;
 }
 
 }  // namespace
@@ -163,6 +174,38 @@ std::vector<double> landscape_start(const core::Landscape& landscape) {
   return s;
 }
 
+PowerResult run_power_iteration(const core::LinearOperator& op,
+                                std::vector<double> iterate,
+                                const io::SolverCheckpoint* resume,
+                                const PowerOptions& options,
+                                PowerReducer& reducer) {
+  require(iterate.size() == static_cast<std::size_t>(op.dimension()),
+          "power_iteration: iterate does not match the operator dimension");
+  PowerResult out;
+  IterationDriver driver(options, io::SolverKind::power, reducer.root());
+  bool resumable = true;
+  if (resume != nullptr) {
+    resumable = check_resumable(*resume, io::SolverKind::power, out);
+    out.eigenvalue = resume->eigenvalue;
+    out.residual = resume->residual;
+    out.iterations = static_cast<unsigned>(resume->iteration);
+    driver.restore(*resume);
+  }
+  out.eigenvector = std::move(iterate);
+  if (resumable) iterate_power(op, driver, options, reducer, out);
+
+  // A failed exit leaves the last iterate in place for post-mortem
+  // inspection but skips the orientation fix (flipping NaNs is meaningless).
+  const bool ok = out.failure == SolverFailure::none;
+  // Perron orientation: the dominant eigenvector is nonnegative; flip if the
+  // iteration settled on the negative representative.
+  if (ok && reducer.sign_sum(out.eigenvector) < 0.0) {
+    linalg::scale(out.eigenvector, -1.0);
+  }
+  reducer.final_vector(out.eigenvector, ok);
+  return out;
+}
+
 PowerResult power_iteration(const core::LinearOperator& op,
                             std::span<const double> start,
                             const PowerOptions& options) {
@@ -171,14 +214,13 @@ PowerResult power_iteration(const core::LinearOperator& op,
   require(start.empty() || start.size() == n,
           "power_iteration: starting vector has wrong dimension");
 
-  IterationTrace trace;
-  trace.iterate.assign(n, 1.0 / static_cast<double>(n));
+  std::vector<double> iterate(n, 1.0 / static_cast<double>(n));
   if (!start.empty()) {
-    linalg::copy(start, trace.iterate);
-    linalg::normalize1(trace.iterate);
+    linalg::copy(start, iterate);
+    linalg::normalize1(iterate);
   }
-  return run_power_loop(op, std::move(trace),
-                        IterationDriver(options, io::SolverKind::power), options);
+  EngineReducer reducer(options.engine);
+  return run_power_iteration(op, std::move(iterate), nullptr, options, reducer);
 }
 
 PowerResult resume_power_iteration(const core::LinearOperator& op,
@@ -188,19 +230,9 @@ PowerResult resume_power_iteration(const core::LinearOperator& op,
   require(n > 0, "resume_power_iteration: empty operator");
   require(checkpoint.eigenvector.size() == n,
           "resume_power_iteration: checkpoint dimension does not match operator");
-
-  IterationDriver driver(options, io::SolverKind::power);
-  IterationTrace trace;
-  PowerResult out;
-  if (!restore_trace(checkpoint, io::SolverKind::power, trace, out)) {
-    out.eigenvector = std::move(trace.iterate);
-    out.eigenvalue = trace.eigenvalue;
-    out.residual = trace.residual;
-    out.iterations = trace.start_iteration;
-    return out;
-  }
-  driver.restore(checkpoint);
-  return run_power_loop(op, std::move(trace), std::move(driver), options);
+  EngineReducer reducer(options.engine);
+  return run_power_iteration(op, checkpoint.eigenvector, &checkpoint, options,
+                             reducer);
 }
 
 }  // namespace qs::solvers

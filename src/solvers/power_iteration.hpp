@@ -15,6 +15,11 @@
 // original residual trajectory bit for bit on the serial backend, and a
 // non-finite iterate is detected at residual-check cadence and reported as
 // a structured SolverFailure instead of spinning max_iterations on garbage.
+//
+// run_power_iteration is the library's one power-iteration loop: the entry
+// points below run it with the engine's reductions, and every rank of a
+// distributed solve runs it on its block with cross-rank reductions (see
+// distributed/distributed_solver.hpp).  PowerReducer is the seam.
 #pragma once
 
 #include <span>
@@ -42,6 +47,53 @@ struct PowerOptions : IterationOptions {
 struct PowerResult : IterationResult {
   std::vector<double> eigenvector;  ///< 1-norm normalised, nonnegative.
 };
+
+/// The global operations of the power loop — everything that reads the
+/// whole vector, not the caller's part of it.  A serial solve reduces with
+/// its engine; a distributed rank combines block partials across ranks, so
+/// every value is identical on every rank.  On a distributed solve every
+/// method is a collective, called by all ranks in the same order.
+class PowerReducer {
+ public:
+  /// Residual-check decisions that must agree everywhere: any rank's stop
+  /// vote cancels; the root's clock decides the time cadence.
+  struct Control {
+    bool stop = false;
+    bool time_due = false;
+  };
+
+  virtual ~PowerReducer() = default;
+  /// True on the one participant that reports (hooks, metrics, checkpoint
+  /// writes): rank 0 of a distributed solve.
+  virtual bool root() const = 0;
+  virtual double dot_xx(std::span<const double> x) = 0;
+  virtual double dot_xy(std::span<const double> x, std::span<const double> y) = 0;
+  /// sum_i (y_i - lambda x_i)^2
+  virtual double residual_sq(std::span<const double> x, std::span<const double> y,
+                             double lambda) = 0;
+  virtual double norm1(std::span<const double> y) = 0;
+  /// Sum of the entries (the Perron orientation test).
+  virtual double sign_sum(std::span<const double> x) = 0;
+  virtual Control agree(Control mine) = 0;
+  /// The full iterate for a checkpoint: `x` itself, or the blocks gathered
+  /// to the root (empty elsewhere).
+  virtual std::span<const double> full_iterate(std::span<const double> x) = 0;
+  /// Replaces `x` with the result vector — the full iterate on the root, or
+  /// each rank's own part when the solve keeps blocks — scaled to unit
+  /// 1-norm when `normalise`.
+  virtual void final_vector(std::vector<double>& x, bool normalise) = 0;
+};
+
+/// The power-iteration loop.  `iterate` (op.dimension() entries) is taken
+/// verbatim: callers normalise cold starts, and a resume passes the
+/// caller's part of resume->eigenvector.  `resume` is checked as a whole
+/// (check_resumable) before any reduction, so every participant refuses a
+/// bad checkpoint identically.
+PowerResult run_power_iteration(const core::LinearOperator& op,
+                                std::vector<double> iterate,
+                                const io::SolverCheckpoint* resume,
+                                const PowerOptions& options,
+                                PowerReducer& reducer);
 
 /// Runs the (shifted) power iteration on `op` starting from `start`
 /// (1-norm normalised internally; empty selects the uniform vector).

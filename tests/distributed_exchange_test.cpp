@@ -1,13 +1,16 @@
 // The distributed layer's determinism and equivalence suite.
 //
-// Three claims are pinned here:
+// Four claims are pinned here:
 //   1. the tree reductions of distributed/reduction.hpp compose: per-block
 //      partials combined in tree order equal the global tree, bit for bit,
 //      for every power-of-two block count;
 //   2. the lockstep Exchange implements the collective contract (swaps,
 //      tree-ordered allreduce, gather/scatter, structured desync errors,
 //      no hangs when a rank dies);
-//   3. the headline contract — a distributed power iteration is
+//   3. the rank mat-vec (RankFmmpOperator) the solver runs equals the serial
+//      Fmmp product, moves exactly the scheduled traffic, and refuses
+//      grouped models with a structured error;
+//   4. the headline contract — a distributed power iteration is
 //      BIT-IDENTICAL (eigenvalue, iteration count, residual stream,
 //      eigenvector) to the serial facade run with tree_engine() and a
 //      tree_landscape_start iterate, for every rank count, model kind,
@@ -17,20 +20,25 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/fmmp.hpp"
+#include "core/site_process.hpp"
 #include "core/spectral.hpp"
 #include "distributed/distributed_solver.hpp"
 #include "distributed/exchange.hpp"
 #include "distributed/reduction.hpp"
+#include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/engine.hpp"
 #include "solvers/power_iteration.hpp"
+#include "support/contracts.hpp"
 #include "support/rng.hpp"
 #include "transforms/sv_microkernel.hpp"
 
@@ -187,6 +195,153 @@ TEST(LockstepExchange, ARankDyingOutsideACollectiveFailsTheGroup) {
 }
 
 // ---------------------------------------------------------------------------
+// The rank mat-vec over the lockstep Exchange.
+// ---------------------------------------------------------------------------
+
+/// y = W x computed by one RankFmmpOperator per rank of a lockstep group;
+/// each rank writes its own block of the returned product.  Every rank's
+/// traffic is returned in `traffic` when given.
+std::vector<double> apply_over_ranks(const core::MutationModel& model,
+                                     const core::Landscape& landscape,
+                                     unsigned ranks, std::span<const double> x,
+                                     std::vector<TrafficStats>* traffic = nullptr) {
+  const BlockLayout layout(model.nu(), ranks);
+  std::vector<double> y(x.size(), 0.0);
+  if (traffic != nullptr) traffic->assign(ranks, TrafficStats{});
+  LockstepGroup group(ranks);
+  group.run([&](Exchange& ex) {
+    const std::size_t begin = layout.block_begin(ex.rank());
+    const std::size_t block = layout.block_size();
+    const RankFmmpOperator op(ex, layout, model,
+                              landscape.values().subspan(begin, block));
+    op.apply(x.subspan(begin, block), std::span<double>(y).subspan(begin, block));
+    if (traffic != nullptr) (*traffic)[ex.rank()] = ex.stats();
+  });
+  return y;
+}
+
+class DistributedApply : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DistributedApply, MatchesSerialFmmpBitExactly) {
+  // The distributed product performs the same arithmetic as the serial
+  // butterfly, so blocks must agree bit for bit across any rank count.
+  const unsigned ranks = GetParam();
+  const unsigned nu = 10;
+  const auto model = core::MutationModel::uniform(nu, 0.03);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
+
+  std::vector<double> x(1024);
+  Xoshiro256 rng(2);
+  for (double& v : x) v = rng.uniform(0.0, 1.0);
+
+  // Serial reference.
+  std::vector<double> expected(1024);
+  core::FmmpOperator(model, landscape).apply(x, expected);
+
+  const auto result = apply_over_ranks(model, landscape, ranks, x);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_DOUBLE_EQ(result[i], expected[i]) << "i=" << i << " ranks=" << ranks;
+  }
+}
+
+TEST_P(DistributedApply, TrafficMatchesTheSchedule) {
+  // Cross-rank levels = log2(ranks); per level there are ranks/2 disjoint
+  // pairs and each pair exchanges two messages (one per direction).
+  const unsigned ranks = GetParam();
+  const unsigned nu = 10;
+  const auto model = core::MutationModel::uniform(nu, 0.03);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
+  const BlockLayout layout(nu, ranks);
+  std::vector<TrafficStats> traffic;
+  (void)apply_over_ranks(model, landscape, ranks,
+                         std::vector<double>(1024, 1.0 / 1024.0), &traffic);
+
+  TrafficStats stats;
+  for (const TrafficStats& rank : traffic) {
+    // Every rank sends one block per cross-rank level and reduces nothing.
+    EXPECT_EQ(rank.messages, layout.rank_bits());
+    EXPECT_EQ(rank.allreduce_calls, 0u);
+    stats.messages += rank.messages;
+    stats.doubles_moved += rank.doubles_moved;
+  }
+  const std::size_t cross_levels = layout.rank_bits();
+  const std::size_t expected_messages = cross_levels * (ranks / 2) * 2;
+  EXPECT_EQ(stats.messages, expected_messages);
+  EXPECT_EQ(stats.doubles_moved, expected_messages * layout.block_size());
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedApply,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u),
+                         [](const auto& info) {
+                           return "ranks" + std::to_string(info.param);
+                         });
+
+TEST(DistributedApply, RejectsGroupedModelsWithStructuredError) {
+  const auto grouped =
+      core::MutationModel::grouped({core::coupled_single_flip_group(2, 0.2),
+                                    core::coupled_single_flip_group(2, 0.2)});
+  const auto landscape = core::Landscape::flat(4, 1.0);
+  const BlockLayout layout(4, 2);
+  auto construct_on_every_rank = [&] {
+    LockstepGroup group(2);
+    group.run([&](Exchange& ex) {
+      const RankFmmpOperator op(
+          ex, layout, grouped,
+          landscape.values().subspan(layout.block_begin(ex.rank()),
+                                     layout.block_size()));
+    });
+  };
+  // The distributed layer raises a structured error naming the kind and
+  // mapping onto SolverFailure::unsupported — while still deriving from
+  // precondition_error so pre-existing catch sites keep working.
+  try {
+    construct_on_every_rank();
+    FAIL() << "grouped model must be rejected";
+  } catch (const UnsupportedModelError& e) {
+    EXPECT_EQ(e.kind(), core::MutationKind::grouped);
+    EXPECT_EQ(e.failure(), solvers::SolverFailure::unsupported);
+    EXPECT_NE(std::string(e.what()).find("grouped"), std::string::npos);
+  }
+  EXPECT_THROW(construct_on_every_rank(), precondition_error);  // the compat contract
+}
+
+struct DistConfig {
+  unsigned nu;
+  unsigned ranks;
+  double p;
+};
+
+class DistributedProperty : public ::testing::TestWithParam<DistConfig> {};
+
+TEST_P(DistributedProperty, BlockedButterflyIsExact) {
+  const auto [nu, ranks, p] = GetParam();
+  const auto model = core::MutationModel::uniform(nu, p);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, nu * ranks);
+
+  std::vector<double> x(sequence_count(nu));
+  Xoshiro256 rng(nu + ranks);
+  for (double& v : x) v = rng.uniform(0.0, 1.0);
+
+  std::vector<double> expected(x.size());
+  core::FmmpOperator(model, landscape).apply(x, expected);
+
+  const auto result = apply_over_ranks(model, landscape, ranks, x);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_DOUBLE_EQ(result[i], expected[i]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DistributedProperty,
+    ::testing::Values(DistConfig{6, 2, 0.1}, DistConfig{8, 8, 0.01},
+                      DistConfig{9, 16, 0.05}, DistConfig{11, 4, 0.2},
+                      DistConfig{12, 32, 0.02}),
+    [](const auto& info) {
+      return "nu" + std::to_string(info.param.nu) + "_ranks" +
+             std::to_string(info.param.ranks);
+    });
+
+// ---------------------------------------------------------------------------
 // Bit-identical equivalence with the serial facade.
 // ---------------------------------------------------------------------------
 
@@ -237,6 +392,8 @@ struct EquivalenceCase {
   bool per_site;
   unsigned nu;
   unsigned ranks;
+  unsigned check_every = 1;  ///< residual_check_every
+  bool shifted = true;       ///< conservative shift, else shift = 0
 };
 
 class DistEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
@@ -261,7 +418,8 @@ TEST_P(DistEquivalence, LockstepSolveIsBitIdenticalToTheSerialFacade) {
   const auto landscape = core::Landscape::random(c.nu, 5.0, 1.0, 17);
 
   DistributedPowerOptions opts;
-  opts.shift = core::conservative_shift(model, landscape);
+  opts.shift = c.shifted ? core::conservative_shift(model, landscape) : 0.0;
+  opts.residual_check_every = c.check_every;
   const FacadeRun facade = run_facade(model, landscape, opts);
   ASSERT_TRUE(facade.result.converged);
 
@@ -296,7 +454,14 @@ INSTANTIATE_TEST_SUITE_P(
                       // The max-rank edge: every rank holds exactly two
                       // entries and only level 0 is local.
                       EquivalenceCase{"uniform_max_ranks", false, 6, 32},
-                      EquivalenceCase{"per_site_max_ranks", true, 6, 32}),
+                      EquivalenceCase{"per_site_max_ranks", true, 6, 32},
+                      // The residual-check cadence and the unshifted update.
+                      EquivalenceCase{"uniform_r4_every3", false, 10, 4, 3},
+                      EquivalenceCase{"per_site_r16_every3", true, 10, 16, 3},
+                      EquivalenceCase{"uniform_r4_unshifted", false, 10, 4, 1,
+                                      false},
+                      EquivalenceCase{"per_site_r2_unshifted_every3", true, 10,
+                                      2, 3, false}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(DistEquivalenceExtra, BlocksEntryMatchesTheLandscapeEntryBitwise) {
@@ -440,9 +605,113 @@ TEST(DistResume, ResumingUnderADifferentRankCountIsBitIdentical) {
   expect_bit_equal(serial.eigenvector, ref.eigenvector);
 }
 
+TEST(DistResume, WallClockCadenceWritesTheSerialFacadesCheckpoints) {
+  // One checkpoint rule for both paths: the clock is sampled at residual
+  // checks, so an always-due time cadence writes after the update of every
+  // check iteration — on one process and on four ranks alike.
+  const unsigned nu = 9;
+  const auto model = core::MutationModel::uniform(nu, 0.02);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 43);
+  DistributedPowerOptions opts;
+  opts.shift = core::conservative_shift(model, landscape);
+  opts.residual_check_every = 3;
+  opts.checkpoint_every_seconds = 1e-9;  // due at every sample
+
+  std::vector<io::SolverCheckpoint> serial_cks;
+  opts.checkpoint_sink = [&serial_cks](const io::SolverCheckpoint& ck) {
+    serial_cks.push_back(ck);
+  };
+  const FacadeRun facade = run_facade(model, landscape, opts);
+
+  std::vector<io::SolverCheckpoint> dist_cks;
+  opts.checkpoint_sink = [&dist_cks](const io::SolverCheckpoint& ck) {
+    dist_cks.push_back(ck);
+  };
+  const auto dist = distributed_power_iteration(model, landscape, 4, opts);
+
+  ASSERT_TRUE(facade.result.converged);
+  ASSERT_TRUE(dist.converged);
+  EXPECT_EQ(dist.iterations, facade.result.iterations);
+  ASSERT_FALSE(serial_cks.empty());
+  ASSERT_EQ(dist_cks.size(), serial_cks.size());
+  for (std::size_t i = 0; i < serial_cks.size(); ++i) {
+    EXPECT_EQ(serial_cks[i].iteration % 3, 0u) << "checkpoint " << i;
+    EXPECT_EQ(dist_cks[i].iteration, serial_cks[i].iteration) << "checkpoint " << i;
+    expect_bit_equal(dist_cks[i].eigenvector, serial_cks[i].eigenvector);
+  }
+}
+
+TEST(DistResume, EveryRankRefusesABadCheckpointBeforeAnyCollective) {
+  const unsigned nu = 6;
+  const auto model = core::MutationModel::uniform(nu, 0.03);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 47);
+  const BlockLayout layout(nu, 2);
+  auto fitness_block = [&](unsigned rank) {
+    return landscape.values().subspan(layout.block_begin(rank), layout.block_size());
+  };
+
+  io::SolverCheckpoint ck;
+  ck.iteration = 4;
+  ck.solver_kind = io::SolverKind::lanczos;  // written by another solver
+  ck.best_residual = std::numeric_limits<double>::infinity();
+  ck.window_start_best = std::numeric_limits<double>::infinity();
+  ck.eigenvector = tree_landscape_start(landscape);
+
+  std::atomic<unsigned> refused{0};
+  LockstepGroup group(2);
+  group.run([&](Exchange& ex) {
+    try {
+      (void)distributed_power_rank(ex, layout, model.site_factors(),
+                                   fitness_block(ex.rank()), {}, &ck);
+    } catch (const precondition_error&) {
+      ++refused;
+    }
+  });
+  EXPECT_EQ(refused.load(), 2u);
+
+  // A poisoned iterate — finite on rank 0's block, NaN on rank 1's — fails
+  // on both ranks at the checkpoint iteration, without iterating.
+  ck.solver_kind = io::SolverKind::power;
+  ck.eigenvector.back() = std::numeric_limits<double>::quiet_NaN();
+  std::vector<DistributedPowerResult> results(2);
+  LockstepGroup again(2);
+  again.run([&](Exchange& ex) {
+    results[ex.rank()] = distributed_power_rank(
+        ex, layout, model.site_factors(), fitness_block(ex.rank()), {}, &ck);
+  });
+  for (const DistributedPowerResult& r : results) {
+    EXPECT_EQ(r.failure, solvers::SolverFailure::non_finite);
+    EXPECT_EQ(r.iterations, 4u);
+    EXPECT_EQ(r.traffic.allreduce_calls, 0u);  // refused before any reduction
+  }
+  // Rank 0 still hands back the gathered iterate for post-mortem inspection.
+  EXPECT_EQ(results[0].eigenvector.size(), ck.eigenvector.size());
+}
+
 // ---------------------------------------------------------------------------
 // Observability.
 // ---------------------------------------------------------------------------
+
+TEST(DistMetrics, OnlyRankZeroRecordsResidualTelemetry) {
+  // Every rank runs a replica of the driver, but only rank 0's reports: one
+  // residual record per check, one decay ratio per check after the first.
+  const unsigned nu = 8;
+  const auto model = core::MutationModel::uniform(nu, 0.03);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 41);
+  DistributedPowerOptions opts;
+  opts.shift = core::conservative_shift(model, landscape);
+  std::uint64_t checks = 0;
+  opts.on_residual = [&checks](unsigned, double) { ++checks; };
+
+  obs::Histogram& decay = obs::histogram("solver.residual_decay");
+  const std::uint64_t residuals_before = obs::metrics().snapshot().residual_count;
+  const std::uint64_t decay_before = decay.snapshot().count;
+  const auto dist = distributed_power_iteration(model, landscape, 4, opts);
+  ASSERT_TRUE(dist.converged);
+  ASSERT_GT(checks, 1u);
+  EXPECT_EQ(obs::metrics().snapshot().residual_count - residuals_before, checks);
+  EXPECT_EQ(decay.snapshot().count - decay_before, checks - 1);
+}
 
 TEST(DistMetrics, SolveRecordsTransportAndKernelProvenance) {
   const unsigned nu = 8;

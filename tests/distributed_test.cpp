@@ -1,4 +1,6 @@
-// Unit tests for the simulated distributed-memory decomposition.
+// Unit tests for the block layout and the distributed power iteration
+// entry points.  The rank mat-vec itself is tested in
+// distributed_exchange_test.cpp, over the Exchange it runs on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,69 +56,6 @@ TEST(BlockLayout, RejectsBadConfigurations) {
   EXPECT_NO_THROW(BlockLayout(4, 8));                    // two entries per rank
 }
 
-TEST(DistributedVector, ScatterGatherRoundTrip) {
-  const BlockLayout layout(8, 4);
-  std::vector<double> global(256);
-  Xoshiro256 rng(1);
-  for (double& v : global) v = rng.uniform(-1.0, 1.0);
-  const auto dv = DistributedVector::scatter(layout, global);
-  const auto back = dv.gather();
-  EXPECT_EQ(back, global);
-}
-
-class DistributedApply : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(DistributedApply, MatchesSerialFmmpBitExactly) {
-  // The distributed product performs the same arithmetic as the serial
-  // butterfly, so blocks must agree bit for bit across any rank count.
-  const unsigned ranks = GetParam();
-  const unsigned nu = 10;
-  const auto model = core::MutationModel::uniform(nu, 0.03);
-  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
-  const BlockLayout layout(nu, ranks);
-
-  std::vector<double> x(1024);
-  Xoshiro256 rng(2);
-  for (double& v : x) v = rng.uniform(0.0, 1.0);
-
-  // Serial reference.
-  std::vector<double> expected(1024);
-  core::FmmpOperator(model, landscape).apply(x, expected);
-
-  auto dv = DistributedVector::scatter(layout, x);
-  TrafficStats stats;
-  distributed_apply_w(model, landscape, dv, stats);
-  const auto result = dv.gather();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_DOUBLE_EQ(result[i], expected[i]) << "i=" << i << " ranks=" << ranks;
-  }
-}
-
-TEST_P(DistributedApply, TrafficMatchesTheSchedule) {
-  // Cross-rank levels = log2(ranks); per level there are ranks/2 disjoint
-  // pairs and each pair exchanges two messages (one per direction).
-  const unsigned ranks = GetParam();
-  const unsigned nu = 10;
-  const auto model = core::MutationModel::uniform(nu, 0.03);
-  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
-  const BlockLayout layout(nu, ranks);
-  auto dv = DistributedVector::scatter(
-      layout, std::vector<double>(1024, 1.0 / 1024.0));
-  TrafficStats stats;
-  distributed_apply_w(model, landscape, dv, stats);
-
-  const std::size_t cross_levels = layout.rank_bits();
-  const std::size_t expected_messages = cross_levels * (ranks / 2) * 2;
-  EXPECT_EQ(stats.messages, expected_messages);
-  EXPECT_EQ(stats.doubles_moved, expected_messages * layout.block_size());
-}
-
-INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedApply,
-                         ::testing::Values(1u, 2u, 4u, 8u, 16u),
-                         [](const auto& info) {
-                           return "ranks" + std::to_string(info.param);
-                         });
-
 TEST(DistributedPower, MatchesSerialSolver) {
   const unsigned nu = 9;
   const auto model = core::MutationModel::uniform(nu, 0.02);
@@ -156,30 +95,6 @@ TEST(DistributedPower, RankCountDoesNotChangeTheAnswer) {
   // Single-rank runs ship nothing.
   EXPECT_EQ(one.traffic.messages, 0u);
   EXPECT_GT(sixteen.traffic.messages, four.traffic.messages);
-}
-
-TEST(DistributedApply, RejectsGroupedModelsWithStructuredError) {
-  const auto grouped =
-      core::MutationModel::grouped({core::coupled_single_flip_group(2, 0.2),
-                                    core::coupled_single_flip_group(2, 0.2)});
-  const auto landscape = core::Landscape::flat(4, 1.0);
-  const BlockLayout layout(4, 2);
-  auto dv = DistributedVector::scatter(layout, std::vector<double>(16, 1.0 / 16));
-  TrafficStats stats;
-  // The old contract was a hard `require` abort with a generic message; the
-  // distributed layer now raises a structured error naming the kind and
-  // mapping onto SolverFailure::unsupported — while still deriving from
-  // precondition_error so pre-existing catch sites keep working.
-  try {
-    distributed_apply_w(grouped, landscape, dv, stats);
-    FAIL() << "grouped model must be rejected";
-  } catch (const UnsupportedModelError& e) {
-    EXPECT_EQ(e.kind(), core::MutationKind::grouped);
-    EXPECT_EQ(e.failure(), solvers::SolverFailure::unsupported);
-    EXPECT_NE(std::string(e.what()).find("grouped"), std::string::npos);
-  }
-  EXPECT_THROW(distributed_apply_w(grouped, landscape, dv, stats),
-               precondition_error);  // the compat contract
 }
 
 TEST(DistributedPower, RejectsGroupedModelsWithStructuredError) {

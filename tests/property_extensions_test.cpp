@@ -1,13 +1,12 @@
 // Property-based sweeps over the extension modules: RNA alphabet, Krylov
-// solvers, distributed decomposition, and the stochastic samplers.
+// solvers, and the stochastic samplers.  (The distributed decomposition's
+// sweep lives in distributed_exchange_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "core/explicit_q.hpp"
-#include "core/fmmp.hpp"
-#include "distributed/distributed_solver.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/krylov.hpp"
 #include "linalg/vector_ops.hpp"
@@ -121,46 +120,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, KrylovSizeProperty,
                          [](const auto& info) {
                            return "n" + std::to_string(info.param);
                          });
-
-struct DistConfig {
-  unsigned nu;
-  unsigned ranks;
-  double p;
-};
-
-class DistributedProperty : public ::testing::TestWithParam<DistConfig> {};
-
-TEST_P(DistributedProperty, BlockedButterflyIsExact) {
-  const auto [nu, ranks, p] = GetParam();
-  const auto model = core::MutationModel::uniform(nu, p);
-  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, nu * ranks);
-  const distributed::BlockLayout layout(nu, ranks);
-
-  std::vector<double> x(sequence_count(nu));
-  Xoshiro256 rng(nu + ranks);
-  for (double& v : x) v = rng.uniform(0.0, 1.0);
-
-  std::vector<double> expected(x.size());
-  core::FmmpOperator(model, landscape).apply(x, expected);
-
-  auto dv = distributed::DistributedVector::scatter(layout, x);
-  distributed::TrafficStats stats;
-  distributed::distributed_apply_w(model, landscape, dv, stats);
-  const auto result = dv.gather();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_DOUBLE_EQ(result[i], expected[i]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, DistributedProperty,
-    ::testing::Values(DistConfig{6, 2, 0.1}, DistConfig{8, 8, 0.01},
-                      DistConfig{9, 16, 0.05}, DistConfig{11, 4, 0.2},
-                      DistConfig{12, 32, 0.02}),
-    [](const auto& info) {
-      return "nu" + std::to_string(info.param.nu) + "_ranks" +
-             std::to_string(info.param.ranks);
-    });
 
 class BinomialProperty : public ::testing::TestWithParam<double> {};
 

@@ -329,7 +329,7 @@ TEST(Cancellation, FacadeSolveAbortsAtAnIterationBoundary) {
 }
 
 TEST(Cancellation, ConvergedSolveIgnoresALateStopSignal) {
-  // should_stop is polled AFTER the tolerance test: a solve that converges
+  // should_stop is honoured AFTER the tolerance test: a solve that converges
   // on the same residual check it would have been cancelled at still
   // reports success.
   std::atomic<unsigned> polls{0};
