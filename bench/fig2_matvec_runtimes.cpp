@@ -20,8 +20,8 @@
 // products over distinct vector pairs on the same backend — exactly the
 // work a block subspace iteration performs per round without the panel
 // kernel.  per-vector speedup = t_seq / t_panel; the memory-bound regime
-// (large nu) is where the amortisation pays.  m = 16 and 32 go through the
-// full-width wide path (transforms::apply_panel_wide) and are measured
+// (large nu) is where the amortisation pays.  m = 16 and 32 sweep at full
+// width under panel_plan's shrunk tile and are measured
 // wherever the panel buffer pair fits in 4 GiB (printed as "-" otherwise);
 // the sequential baseline reuses at most 8 distinct buffer pairs cycled
 // m/8 times so baseline memory stays capped regardless of m.
@@ -53,7 +53,6 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "transforms/panel_butterfly.hpp"
-#include "transforms/panel_microkernel.hpp"
 #include "transforms/plan_autotune.hpp"
 #include "transforms/sv_microkernel.hpp"
 
@@ -103,15 +102,17 @@ void write_json(const std::string& path, double p, unsigned max_nu,
   // so bench JSON and solver telemetry can be joined on the same fields.
   const auto caches = qs::transforms::detect_cache_hierarchy();
   const qs::transforms::BlockedPlan default_plan{};
+  // One kernel table serves panels and single vectors; the "panel_kernels"
+  // key keeps its name so older BENCH_fig2.json files still line up.
+  const char* kernels =
+      qs::transforms::resolved_sv_kernel_name(qs::transforms::SvKernel::automatic);
   out << "{\n"
       << "  \"figure\": \"fig2\",\n"
       << "  \"p\": " << p << ",\n"
       << "  \"max_nu\": " << max_nu << ",\n"
-      << "  \"panel_kernels\": \"" << qs::transforms::panel_kernels().name
-      << "\",\n"
+      << "  \"panel_kernels\": \"" << kernels << "\",\n"
       << "  \"provenance\": {\n"
-      << "    \"simd_tier\": \"" << qs::transforms::panel_kernels().name
-      << "\",\n"
+      << "    \"simd_tier\": \"" << kernels << "\",\n"
       << "    \"sv_kernel\": \""
       << qs::transforms::resolved_sv_kernel_name(default_plan.sv_kernel)
       << "\",\n"
@@ -194,7 +195,9 @@ int main() {
             << ", pool = '" << pool_engine->name() << "' x"
             << pool_engine->concurrency()
             << "; lvl = per-level Algorithm 2, blk = banded blocked kernel\n"
-            << "# panel kernels: " << transforms::panel_kernels().name << "\n\n";
+            << "# kernels: "
+            << transforms::resolved_sv_kernel_name(transforms::SvKernel::automatic)
+            << "\n\n";
 
   TextTable table({"nu", "N", "Xmvp(nu) [s]", "Xmvp(1) [s]", "Fmmp [s]",
                    "omp lvl [s]", "omp blk [s]", "pool lvl [s]", "pool blk [s]",

@@ -42,7 +42,6 @@
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/panel_butterfly.hpp"
-#include "transforms/panel_microkernel.hpp"
 #include "transforms/sv_microkernel.hpp"
 #include "transforms/plan_autotune.hpp"
 
@@ -74,7 +73,9 @@ int main() {
   const double per_vector = t_panel / static_cast<double>(m);
 
   std::cout << "perf-smoke @ nu=" << nu << ", kernels="
-            << transforms::panel_kernels().name << "\n"
+            << transforms::resolved_sv_kernel_name(
+                   transforms::SvKernel::automatic)
+            << "\n"
             << "  classic Fmmp        : " << t_classic << " s\n"
             << "  blocked matvec (x1) : " << t_single << " s\n"
             << "  panel matvec (m=8)  : " << t_panel << " s ("

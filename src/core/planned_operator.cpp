@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "transforms/panel_microkernel.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 namespace qs::core {
 namespace {
@@ -52,7 +52,8 @@ PlannedOperator::PlannedOperator(MutationModel model, const Landscape& landscape
   // dispatch resolved to and which tiling plan the products will execute
   // with.  This is what makes BENCH_fig2.json rows comparable across hosts.
   obs::MetricsRecorder& m = obs::metrics();
-  m.set_info("simd_tier", transforms::panel_kernels().name);
+  m.set_info("simd_tier", transforms::resolved_sv_kernel_name(
+                             transforms::SvKernel::automatic));
   m.set_info("sv_kernel", transforms::resolved_sv_kernel_name(plan.sv_kernel));
   m.set_value("plan.tile_log2", plan.tile_log2);
   m.set_value("plan.chunk_log2", plan.chunk_log2);

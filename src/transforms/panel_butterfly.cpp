@@ -6,7 +6,7 @@
 #include "obs/trace.hpp"
 #include "support/bits.hpp"
 #include "support/contracts.hpp"
-#include "transforms/panel_microkernel.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -14,7 +14,7 @@ namespace {
 #if QS_TRACING_ON
 /// Tags each panel sweep with the microkernel table that served it.  The
 /// counter name must be a static string, so branch on the tier once.
-void trace_kernel_tag(const PanelKernels* kp) {
+void trace_kernel_tag(const SvKernels* kp) {
   if (!qs::obs::enabled()) return;
   if (std::strcmp(kp->name, "avx512") == 0) {
     QS_TRACE_COUNTER("kernel.dispatch.avx512", 1);
@@ -57,7 +57,7 @@ constexpr unsigned kMidTileLog2 = 17;
 /// the block traffic of single-level sweeps.  (A radix-16 variant was tried
 /// and measured ~25% slower — sixteen live rows exhaust the sixteen ymm
 /// registers and the spills cost more than the saved sweep.)
-void sweep_levels(const PanelKernels* kp, const Factor2* fs, std::size_t w,
+void sweep_levels(const SvKernels* kp, const Factor2* fs, std::size_t w,
                   double* base, std::size_t total_d, unsigned l0, unsigned l1) {
   unsigned l = l0;
   for (; l + 2 < l1; l += 3) {
@@ -94,7 +94,7 @@ void sweep_levels(const PanelKernels* kp, const Factor2* fs, std::size_t w,
 /// 2^k-row stage block, and every element still sees its levels in
 /// ascending order, so the result is bit-identical to the single-stage
 /// sweep regardless of how many stages run.
-void sweep_levels_staged(const PanelKernels* kp, const Factor2* fs,
+void sweep_levels_staged(const SvKernels* kp, const Factor2* fs,
                          std::size_t w, double* base, std::size_t total_d,
                          unsigned levels) {
   const std::size_t sub_d = std::size_t{1} << kSubTileLog2;
@@ -130,13 +130,15 @@ void sweep_levels_staged(const PanelKernels* kp, const Factor2* fs,
 /// How a diagonal scaling span addresses the panel.
 enum class ScaleMode { none, broadcast, per_column };
 
+/// At m = 1 both shapes coincide; per_column wins so the scaling runs as
+/// one contiguous mul_span instead of a row loop of width one.
 ScaleMode scale_mode(std::span<const double> s, std::size_t n, std::size_t m) {
   if (s.empty()) return ScaleMode::none;
-  if (s.size() == n) return ScaleMode::broadcast;
-  require(s.size() == n * m,
+  if (s.size() == n * m) return ScaleMode::per_column;
+  require(s.size() == n,
           "panel butterfly: scalings must be empty, length N (broadcast), or "
           "length N*m (per column)");
-  return ScaleMode::per_column;
+  return ScaleMode::broadcast;
 }
 
 }  // namespace
@@ -148,6 +150,20 @@ BlockedPlan panel_plan(const BlockedPlan& plan, std::size_t m) {
   // Keeping the tile wide keeps the band count low, which is what decides
   // the pass count over a DRAM-resident panel.  Measured at nu = 22, m = 8:
   // the unshrunk tile is ~20% faster than shrinking by log2(m).
+  //
+  // Wider panels (m = 16, 32) sweep at full width under the shrunk tile
+  // (tile * m stays at the m = 8 cache footprint).  On the reference host
+  // that measured best-or-tied at every nu in {18..22} against two
+  // alternatives that were built and rejected:
+  //   * explicit column staging (pack 8 columns at a time through a dense
+  //     scratch panel, gather/scatter fused into the first/last band):
+  //     1.6-2.4x slower at nu = 22 — 64-byte strided column windows stream
+  //     far below contiguous DRAM bandwidth;
+  //   * a width-adjusted plan (tile pre-grown so the band bounds match the
+  //     m = 8 plan, chunk shrunk to keep high-band gathers L2-sized):
+  //     within noise of the plain plan at nu >= 20, slower below — the
+  //     extra band the shrunken tile sometimes costs is cheaper than
+  //     sweeping tile levels beyond L2.
   constexpr unsigned kHeadroomLog2 = 3;
   BlockedPlan eff = plan;
   const unsigned lm = ceil_log2(m);
@@ -184,7 +200,10 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
   const double* pres = pre_scale.empty() ? nullptr : pre_scale.data();
   const double* posts = post_scale.empty() ? nullptr : post_scale.data();
   const Factor2* fs = factors.data();
-  const PanelKernels* kp = &panel_kernels();
+  // The widest SIMD tier the build and the CPU support, else the scalar
+  // reference — bit-identical either way.
+  const SvKernels* kp = best_sv_kernels();
+  if (kp == nullptr) kp = &scalar_sv_kernels();
 
   if (nu == 0) {
     // Single panel row: just the scalings.
@@ -258,44 +277,6 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
     const std::size_t chunks_per_low = std::size_t{1} << (k0 - chunk);
     const bool fuse_post = (band == bands - 1) && post_mode != ScaleMode::none;
     const Factor2* bandf = fs + k0;
-    if (b >= 99) {
-      // Wide band: sweeping the strided gather rows directly would stream
-      // the whole panel once per two-to-three levels.  Instead copy each
-      // gather panel into a dense scratch block (rows*cnt <= 2^tile * m
-      // doubles — blocked_band_boundaries caps the band — i.e. the same
-      // cache footprint as a band-0 tile), run all b levels there with the
-      // contiguous sweep, and scatter back: one DRAM read and one DRAM
-      // write for the entire band, regardless of b.  The copies do not
-      // change any value and the level order is unchanged, so the result
-      // stays bit-identical to the direct path.
-      engine.dispatch(items, [=](std::size_t begin, std::size_t end) {
-        std::vector<double> scratch(rows * cnt);
-        double* sc = scratch.data();
-        for (std::size_t id = begin; id < end; ++id) {
-          const std::size_t high = id / chunks_per_low;
-          const std::size_t lc = id % chunks_per_low;
-          const std::size_t base_e = (high << k1) + (lc << chunk);
-          for (std::size_t r = 0; r < rows; ++r) {
-            std::memcpy(sc + r * cnt, ys + (base_e + (r << k0)) * m,
-                        cnt * sizeof(double));
-          }
-          sweep_levels_staged(kp, bandf, cnt, sc, rows * cnt, b);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t row_e = base_e + (r << k0);
-            double* dst = ys + row_e * m;
-            const double* src = sc + r * cnt;
-            if (!fuse_post) {
-              std::memcpy(dst, src, cnt * sizeof(double));
-            } else if (post_mode == ScaleMode::broadcast) {
-              kp->mul_rows_broadcast(dst, src, posts + row_e, cols, m);
-            } else {
-              kp->mul_span(dst, src, posts + row_e * m, cnt);
-            }
-          }
-        }
-      });
-      continue;
-    }
     engine.dispatch(items, [=](std::size_t begin, std::size_t end) {
       for (std::size_t id = begin; id < end; ++id) {
         const std::size_t high = id / chunks_per_low;
@@ -361,39 +342,6 @@ void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
                                    const parallel::Engine& engine,
                                    const BlockedPlan& plan) {
   apply_blocked_panel_butterfly_fused(panel, panel, m, factors, {}, {}, engine, plan);
-}
-
-void apply_panel_wide_fused(std::span<const double> x, std::span<double> y,
-                            std::size_t m, std::span<const Factor2> factors,
-                            std::span<const double> pre_scale,
-                            std::span<const double> post_scale,
-                            const parallel::Engine& engine,
-                            const BlockedPlan& plan) {
-  require(m >= 1, "panel butterfly: panel width m must be >= 1");
-  // Wide panels sweep at full width — every span primitive takes an
-  // arbitrary length, and per column the per-element butterfly sequence is
-  // identical to an m <= 8 run, so results are bit-identical per column to
-  // solving each 8-column block directly.  panel_plan's width shrink (keep
-  // tile * m at the m = 8 cache footprint) carries over unchanged: on the
-  // reference host it measured best-or-tied for m = 16 and 32 at every
-  // nu in {18..22} against two alternatives that were built and rejected:
-  //   * explicit column staging (pack 8 columns at a time through a dense
-  //     scratch panel, gather/scatter fused into the first/last band):
-  //     1.6-2.4x slower at nu = 22 — 64-byte strided column windows stream
-  //     far below contiguous DRAM bandwidth;
-  //   * a width-adjusted plan (tile pre-grown so the band bounds match the
-  //     m = 8 plan, chunk shrunk to keep high-band gathers L2-sized):
-  //     within noise of the plain plan at nu >= 20, slower below — the
-  //     extra band the shrunken tile sometimes costs is cheaper than
-  //     sweeping tile levels beyond L2.
-  apply_blocked_panel_butterfly_fused(x, y, m, factors, pre_scale, post_scale,
-                                      engine, plan);
-}
-
-void apply_panel_wide(std::span<double> panel, std::size_t m,
-                      std::span<const Factor2> factors,
-                      const parallel::Engine& engine, const BlockedPlan& plan) {
-  apply_panel_wide_fused(panel, panel, m, factors, {}, {}, engine, plan);
 }
 
 void pack_panel_column(std::span<const double> column, std::span<double> panel,

@@ -12,9 +12,11 @@
 //
 // and every butterfly pair (i, i + 2^l) becomes a pair of *contiguous*
 // m-double rows.  One sweep over the panel advances all m vectors through a
-// whole level band, and each 2x2 butterfly is a full-width vector FMA over
-// the m columns (SIMD microkernels from transforms/panel_microkernel, with
-// a scalar fallback; m is arbitrary — tails are handled).
+// whole level band, and each 2x2 butterfly is a full-width vector
+// multiply-add over the m columns.  The sweeps run the same microkernel
+// table as the single-vector kernel (transforms/sv_microkernel: widest SIMD
+// tier available, else scalar; m is arbitrary — tails are handled), so each
+// column comes out bit-identical to the single-vector banded product.
 //
 // The band structure is exactly blocked_butterfly's; the tile budget is
 // shrunk by log2(m) so a tile of panel rows still fits the same cache
@@ -63,30 +65,6 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          std::span<const double> post_scale,
                                          const parallel::Engine& engine,
                                          const BlockedPlan& plan = {});
-
-/// Wide-panel (m > 8) fused product: the full-width direct sweep under
-/// panel_plan's width-shrunk tile (tile * m stays at the m = 8 cache
-/// footprint).  Per column the per-element butterfly sequence is identical
-/// to the m <= 8 path — band and stage boundaries only reorder work
-/// *across* elements — so results are bit-identical per column to solving
-/// each 8-column block directly.  This is the wide strategy that measured
-/// best on the reference host; explicit 8-column staging through a scratch
-/// panel ran 1.6-2.4x slower (strided column windows stream far below
-/// contiguous bandwidth) — see the .cpp for the full comparison.  Accepts
-/// the same scaling shapes as apply_blocked_panel_butterfly_fused; x may
-/// alias y exactly or not at all.
-void apply_panel_wide_fused(std::span<const double> x, std::span<double> y,
-                            std::size_t m, std::span<const Factor2> factors,
-                            std::span<const double> pre_scale,
-                            std::span<const double> post_scale,
-                            const parallel::Engine& engine,
-                            const BlockedPlan& plan = {});
-
-/// In-place wide-panel transform without scalings (see apply_panel_wide_fused).
-void apply_panel_wide(std::span<double> panel, std::size_t m,
-                      std::span<const Factor2> factors,
-                      const parallel::Engine& engine,
-                      const BlockedPlan& plan = {});
 
 /// Interleaves column j of the panel from a contiguous vector:
 /// panel[i*m + j] = column[i].  Requires column.size() * m == panel.size()

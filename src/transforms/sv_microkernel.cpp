@@ -86,10 +86,24 @@ void sv_mul_span_inplace_scalar(double* y, const double* s, std::size_t cnt) {
   for (std::size_t i = 0; i < cnt; ++i) y[i] *= s[i];
 }
 
+void sv_mul_rows_broadcast_scalar(double* y, const double* x, const double* s,
+                                  std::size_t rows, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double sr = s[r];
+    for (std::size_t c = 0; c < m; ++c) y[r * m + c] = sr * x[r * m + c];
+  }
+}
+
+void sv_mul_rows_broadcast_inplace_scalar(double* y, const double* s,
+                                          std::size_t rows, std::size_t m) {
+  sv_mul_rows_broadcast_scalar(y, y, s, rows, m);
+}
+
 constexpr SvKernels kScalarSvKernels{
-    sv_butterfly_span_scalar, sv_butterfly_quad_span_scalar,
+    sv_butterfly_span_scalar,     sv_butterfly_quad_span_scalar,
     sv_butterfly_oct_span_scalar, sv_mul_span_scalar,
-    sv_mul_span_inplace_scalar, "scalar",
+    sv_mul_span_inplace_scalar,   sv_mul_rows_broadcast_scalar,
+    sv_mul_rows_broadcast_inplace_scalar, "scalar",
 };
 
 }  // namespace
@@ -98,7 +112,7 @@ const SvKernels& scalar_sv_kernels() { return kScalarSvKernels; }
 
 #if defined(QS_HAVE_SV_AVX2_KERNELS)
 // Defined in sv_microkernel_avx.cpp (compiled with -mavx2 -ffp-contract=off,
-// no -mfma); returns null when the running CPU lacks avx2.
+// no FMA); returns null when the running CPU lacks avx2.
 const SvKernels* sv_avx2_table();
 #endif
 #if defined(QS_HAVE_SV_AVX512_KERNELS)

@@ -1,23 +1,16 @@
-// Single-vector SIMD microkernels for the banded butterfly.
+// SIMD microkernels for the banded butterfly: one kernel table per tier,
+// shared by the single-vector banded kernel (transforms/blocked_butterfly)
+// and the multi-vector panel kernel (transforms/panel_butterfly).
 //
-// The panel (multi-vector) path has had hand-written AVX2/AVX-512 kernels
-// since the panel layer landed; the *single-vector* banded kernel — the one
-// every default solve(), Lanczos/Arnoldi cycle, and service request actually
-// runs — leaned on compiler autovectorisation.  This module closes that gap
-// with a second, separate kernel table specialised for contiguous
-// single-vector spans.
-//
-// The contract differs from transforms/panel_microkernel in one crucial way:
-// these kernels are BIT-IDENTICAL to the plain C++ banded loops.  The panel
-// kernels fuse each a*x + b*y into one FMA (one rounding); a solver that
-// switches kernel tier there changes results by a few ULP, which the panel
-// tests document.  The single-vector kernel sits underneath every default
-// solve, so a tier switch must not move a single bit: the SIMD
-// implementations here use separate vmulpd + vaddpd (two roundings, exactly
+// These kernels are BIT-IDENTICAL to the plain C++ banded loops.  They sit
+// underneath every default solve(), Lanczos/Arnoldi cycle, panel product
+// and service request, so a tier switch must not move a single bit: the
+// SIMD implementations use separate vmulpd + vaddpd (two roundings, exactly
 // the scalar expression m00*t1 + m01*t2), their translation units are built
-// WITHOUT -mfma and with -ffp-contract=off, and the runtime probes require
-// only avx2 / avx512f (not fma).  scalar == avx2 == avx512 bitwise, and all
-// three equal the historical autovectorised loops.
+// WITHOUT the FMA ISA flag and with -ffp-contract=off, and the runtime
+// probes require only avx2 / avx512f.  scalar == avx2 == avx512 bitwise,
+// and all three equal the historical autovectorised loops — so each panel
+// column equals the single-vector product of that column bit for bit.
 //
 //   * scalar: always compiled, the reference table;
 //   * AVX2: compiled only when the build probe passed (QS_ENABLE_SIMD, see
@@ -36,10 +29,10 @@
 
 namespace qs::transforms {
 
-/// Table of contiguous-span kernels the single-vector banded butterfly is
-/// built from.  Same shapes as PanelKernels' butterfly members (the banded
-/// sweep structure is shared); no broadcast-row ops — a single vector's
-/// diagonal scalings are plain element-wise products.
+/// Table of contiguous-span kernels the banded butterfly is built from.  A
+/// single vector uses the butterfly and element-wise members; an
+/// interleaved panel of m vectors also uses the broadcast-row members for
+/// one diagonal shared by all m columns.
 struct SvKernels {
   /// Butterfly across two contiguous spans: for i in [0, cnt),
   /// (lo[i], hi[i]) <- (m00 lo[i] + m01 hi[i], m10 lo[i] + m11 hi[i]).
@@ -63,6 +56,15 @@ struct SvKernels {
 
   /// y[i] *= s[i] for i in [0, cnt).
   void (*mul_span_inplace)(double* y, const double* s, std::size_t cnt);
+
+  /// Broadcast row scaling on an interleaved panel: for r in [0, rows) and
+  /// c in [0, m), y[r*m + c] = s[r] * x[r*m + c]. x may alias y exactly.
+  void (*mul_rows_broadcast)(double* y, const double* x, const double* s,
+                             std::size_t rows, std::size_t m);
+
+  /// y[r*m + c] *= s[r].
+  void (*mul_rows_broadcast_inplace)(double* y, const double* s,
+                                     std::size_t rows, std::size_t m);
 
   /// Implementation name for provenance: "scalar", "avx2", or "avx512".
   const char* name;

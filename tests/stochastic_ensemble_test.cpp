@@ -80,8 +80,9 @@ TEST(ReplicaEnsemble, ExpectedMatchesWrightFisherPerReplica) {
 }
 
 TEST(ReplicaEnsemble, BatchedAndSequentialExpectedAgree) {
-  // Panel and single-vector paths share the math but not the instruction
-  // schedule (FMA-fused microkernels); agreement is to rounding, not bits.
+  // The panel and single-vector products agree bit for bit, but the batched
+  // unpack sums each normaliser in fixed 4096-element blocks instead of one
+  // running sum, so in general agreement is to rounding, not bits.
   const unsigned nu = 8;
   const auto model = core::MutationModel::uniform(nu, 0.015);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 11);

@@ -1,13 +1,14 @@
-// Equivalence tests for the multi-vector (panel) kernels: the interleaved
-// panel butterfly, its fused scalings (broadcast and per-column), the SIMD
-// microkernel dispatch, and the group-banded Kronecker kernel must all match
-// their single-vector serial references across every engine backend, panel
-// width (SIMD-divisible and tail cases), and tiling plan.
+// Equivalence tests for the multi-vector (panel) kernels.  The interleaved
+// panel butterfly and its fused scalings (broadcast and per-column) run the
+// same non-FMA microkernel table as the single-vector banded kernel, so
+// every panel column must equal its single-vector reference BIT FOR BIT
+// across every engine backend, panel width (SIMD-divisible and tail cases),
+// and tiling plan.  The group-banded Kronecker kernel is checked against its
+// serial reference to a tolerance.
 #include "transforms/panel_butterfly.hpp"
 
 #include <gtest/gtest.h>
 
-#include <string_view>
 #include <vector>
 
 #include "core/fmmp.hpp"
@@ -18,7 +19,7 @@
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
 #include "transforms/kronecker.hpp"
-#include "transforms/panel_microkernel.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -31,8 +32,24 @@ const std::initializer_list<parallel::Backend> kBackends = {
 
 // Panel widths covering every microkernel regime: scalar (1), below SIMD
 // width (2, 3), exactly SIMD width (4), SIMD width + tail (5), two SIMD
-// lanes (8).
-const std::initializer_list<std::size_t> kWidths = {1, 2, 3, 4, 5, 8};
+// lanes (8), and the wide panels whose tile panel_plan shrinks (16, 32).
+const std::initializer_list<std::size_t> kWidths = {1, 2, 3, 4, 5, 8, 16, 32};
+
+// Single-vector kernel tiers the reference products run on: the autovec
+// loops plus every SIMD table this build and CPU provide.  All of them are
+// bit-identical, so the panel must match each one.
+std::vector<SvKernel> available_sv_tiers() {
+  std::vector<SvKernel> tiers = {SvKernel::autovec};
+  if (avx2_sv_kernels() != nullptr) tiers.push_back(SvKernel::avx2);
+  if (avx512_sv_kernels() != nullptr) tiers.push_back(SvKernel::avx512);
+  return tiers;
+}
+
+BlockedPlan plan_for(SvKernel tier) {
+  BlockedPlan plan;
+  plan.sv_kernel = tier;
+  return plan;
+}
 
 std::vector<Factor2> asymmetric_factors(unsigned nu, std::uint64_t seed) {
   std::vector<Factor2> sites;
@@ -66,6 +83,14 @@ void expect_near_all(const std::vector<double>& expected,
   }
 }
 
+void expect_bitwise(const std::vector<double>& expected,
+                    const std::vector<double>& actual, const char* what) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i], actual[i]) << what << " index " << i;
+  }
+}
+
 TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
   for (unsigned nu : {1u, 3u, 6u, 10u, 12u}) {
     const std::size_t n = std::size_t{1} << nu;
@@ -86,7 +111,7 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
         std::vector<double> column(n);
         for (std::size_t j = 0; j < m; ++j) {
           unpack_panel_column(work, m, j, column);
-          expect_near_all(columns[j], column, kTol);
+          expect_bitwise(columns[j], column, "panel column");
         }
       }
     }
@@ -95,26 +120,30 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
 
 TEST(PanelButterfly, WidthOneMatchesBlockedButterfly) {
   // m = 1 reduces to the single-vector banded kernel: same bands, same
-  // operation order.  With the scalar microkernel table active the results
-  // are bit-identical; with FMA-fused SIMD kernels each butterfly rounds
-  // once less, so equality holds to a few ULP instead.
+  // per-element arithmetic on the same kernel table, so the results are
+  // bit-identical on every tier — with and without fused scalings (at
+  // m = 1 a length-N scaling is a plain element-wise product).
   const unsigned nu = 12;
   const std::size_t n = std::size_t{1} << nu;
   const auto factors = asymmetric_factors(nu, 7);
   const auto x = random_vector(n, 7);
-  std::vector<double> single = x;
-  std::vector<double> panel = x;
+  const auto pre = positive_vector(n, 8);
+  const auto post = positive_vector(n, 9);
   const auto& engine = parallel::serial_engine();
-  apply_blocked_butterfly(single, factors, engine);
-  apply_blocked_panel_butterfly(panel, 1, factors, engine);
-  const bool scalar_active =
-      std::string_view(panel_kernels().name) == std::string_view("scalar");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (scalar_active) {
-      ASSERT_EQ(single[i], panel[i]) << "index " << i;
-    } else {
-      ASSERT_NEAR(single[i], panel[i], kTol) << "index " << i;
-    }
+  for (SvKernel tier : available_sv_tiers()) {
+    SCOPED_TRACE(to_string(tier));
+    std::vector<double> single = x;
+    std::vector<double> panel = x;
+    apply_blocked_butterfly(single, factors, engine, plan_for(tier));
+    apply_blocked_panel_butterfly(panel, 1, factors, engine);
+    expect_bitwise(single, panel, "width-1 plain");
+
+    std::vector<double> single_fused(n), panel_fused(n);
+    apply_blocked_butterfly_fused(x, single_fused, factors, pre, post, engine,
+                                  plan_for(tier));
+    apply_blocked_panel_butterfly_fused(x, panel_fused, 1, factors, pre, post,
+                                        engine);
+    expect_bitwise(single_fused, panel_fused, "width-1 fused");
   }
 }
 
@@ -124,25 +153,28 @@ TEST(PanelButterfly, FusedBroadcastScalingsMatchSingleVectorFused) {
   const auto factors = asymmetric_factors(nu, 21);
   const auto pre = positive_vector(n, 1);
   const auto post = positive_vector(n, 2);
-  for (std::size_t m : kWidths) {
-    std::vector<std::vector<double>> reference(m);
-    std::vector<double> panel(n * m);
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto x = random_vector(n, 40 + j);
-      pack_panel_column(x, panel, m, j);
-      reference[j].resize(n);
-      apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
-                                    parallel::serial_engine());
-    }
-    for (parallel::Backend kind : kBackends) {
-      const auto engine = parallel::make_engine(kind);
-      std::vector<double> out(n * m);
-      apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
-                                          *engine);
-      std::vector<double> column(n);
+  for (SvKernel tier : available_sv_tiers()) {
+    SCOPED_TRACE(to_string(tier));
+    for (std::size_t m : kWidths) {
+      std::vector<std::vector<double>> reference(m);
+      std::vector<double> panel(n * m);
       for (std::size_t j = 0; j < m; ++j) {
-        unpack_panel_column(out, m, j, column);
-        expect_near_all(reference[j], column, kTol);
+        const auto x = random_vector(n, 40 + j);
+        pack_panel_column(x, panel, m, j);
+        reference[j].resize(n);
+        apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
+                                      parallel::serial_engine(), plan_for(tier));
+      }
+      for (parallel::Backend kind : kBackends) {
+        const auto engine = parallel::make_engine(kind);
+        std::vector<double> out(n * m);
+        apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
+                                            *engine);
+        std::vector<double> column(n);
+        for (std::size_t j = 0; j < m; ++j) {
+          unpack_panel_column(out, m, j, column);
+          expect_bitwise(reference[j], column, "broadcast-fused column");
+        }
       }
     }
   }
@@ -176,14 +208,14 @@ TEST(PanelButterfly, PerColumnScalingsGiveEachColumnItsOwnDiagonal) {
       std::vector<double> column(n);
       for (std::size_t j = 0; j < m; ++j) {
         unpack_panel_column(out, m, j, column);
-        expect_near_all(reference[j], column, kTol);
+        expect_bitwise(reference[j], column, "per-column-fused column");
       }
     }
   }
 }
 
 TEST(PanelButterfly, PlanVariationsAllAgree) {
-  // Different tilings change the sweep order, never the math.
+  // Different tilings change the sweep order, never the per-element math.
   const unsigned nu = 12;
   const std::size_t n = std::size_t{1} << nu;
   const std::size_t m = 4;
@@ -199,7 +231,7 @@ TEST(PanelButterfly, PlanVariationsAllAgree) {
     std::vector<double> work = base;
     apply_blocked_panel_butterfly(work, m, factors, parallel::serial_engine(),
                                   plan);
-    expect_near_all(reference, work, kTol);
+    expect_bitwise(reference, work, "plan variation");
   }
 }
 
@@ -237,13 +269,18 @@ TEST(PanelButterfly, PackUnpackRoundTrip) {
 }
 
 TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
-  // The runtime-dispatched table (AVX2 where available) must agree with the
-  // always-compiled scalar kernels on every span length around the SIMD
-  // width, including the odd tails.
-  const PanelKernels& scalar = scalar_panel_kernels();
-  const PanelKernels& active = panel_kernels();
+  // The table the panel sweeps run (the widest SIMD tier the build and CPU
+  // support, else scalar) must equal the scalar table bit for bit on every
+  // span length around the SIMD widths, including the odd tails, and on
+  // the broadcast-row shapes of every panel width regime.
+  const SvKernels& scalar = scalar_sv_kernels();
+  const SvKernels* best = best_sv_kernels();
+  const SvKernels& active = best != nullptr ? *best : scalar;
   const Factor2 f = Factor2::asymmetric(0.013, 0.27);
-  for (std::size_t cnt : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 15ul, 64ul, 101ul}) {
+  const Factor2 f_hi = Factor2::asymmetric(0.041, 0.18);
+  const Factor2 f_top = Factor2::asymmetric(0.009, 0.33);
+  for (std::size_t cnt :
+       {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 64ul, 101ul}) {
     const auto lo0 = random_vector(cnt, cnt);
     const auto hi0 = random_vector(cnt, cnt + 1);
     const auto s = positive_vector(cnt, cnt + 2);
@@ -251,16 +288,20 @@ TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
     auto lo_a = lo0, hi_a = hi0, lo_b = lo0, hi_b = hi0;
     scalar.butterfly_span(lo_a.data(), hi_a.data(), cnt, f);
     active.butterfly_span(lo_b.data(), hi_b.data(), cnt, f);
-    expect_near_all(lo_a, lo_b, kTol);
-    expect_near_all(hi_a, hi_b, kTol);
+    expect_bitwise(lo_a, lo_b, "butterfly_span lo");
+    expect_bitwise(hi_a, hi_b, "butterfly_span hi");
 
     std::vector<double> ya(cnt), yb(cnt);
     scalar.mul_span(ya.data(), lo0.data(), s.data(), cnt);
     active.mul_span(yb.data(), lo0.data(), s.data(), cnt);
-    expect_near_all(ya, yb, 0.0);  // plain multiply: bitwise equal
+    expect_bitwise(ya, yb, "mul_span");
 
-    // Radix-4 quad: must equal two successive pair levels (any kernel mix).
-    const Factor2 f_hi = Factor2::asymmetric(0.041, 0.18);
+    auto za = lo0, zb = lo0;
+    scalar.mul_span_inplace(za.data(), s.data(), cnt);
+    active.mul_span_inplace(zb.data(), s.data(), cnt);
+    expect_bitwise(za, zb, "mul_span_inplace");
+
+    // Radix-4 quad: equals two successive scalar pair levels.
     auto quad_ref = random_vector(4 * cnt, cnt + 3);
     auto quad_act = quad_ref;
     {
@@ -272,13 +313,11 @@ TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
     }
     {
       double* q = quad_act.data();
-      active.butterfly_quad_span(q, q + cnt, q + 2 * cnt, q + 3 * cnt, cnt, f,
-                                 f_hi);
+      active.butterfly_quad_span(q, q + cnt, q + 2 * cnt, q + 3 * cnt, cnt, f, f_hi);
     }
-    expect_near_all(quad_ref, quad_act, kTol);
+    expect_bitwise(quad_ref, quad_act, "butterfly_quad_span");
 
-    // Radix-8 oct: must equal three successive pair levels.
-    const Factor2 f_top = Factor2::asymmetric(0.009, 0.33);
+    // Radix-8 oct: equals three successive scalar pair levels.
     auto oct_ref = random_vector(8 * cnt, cnt + 4);
     auto oct_act = oct_ref;
     {
@@ -294,38 +333,25 @@ TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
       }
     }
     active.butterfly_oct_span(oct_act.data(), cnt, cnt, f, f_hi, f_top);
-    expect_near_all(oct_ref, oct_act, kTol);
-
-    auto za = lo0, zb = lo0;
-    scalar.mul_span_inplace(za.data(), s.data(), cnt);
-    active.mul_span_inplace(zb.data(), s.data(), cnt);
-    expect_near_all(za, zb, 0.0);
+    expect_bitwise(oct_ref, oct_act, "butterfly_oct_span");
   }
-  for (std::size_t m : {1ul, 3ul, 4ul, 5ul, 8ul}) {
+  for (std::size_t m : {1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 16ul, 32ul}) {
     const std::size_t rows = 9;
     const auto x = random_vector(rows * m, m);
     const auto s = positive_vector(rows, m + 1);
     std::vector<double> ya(rows * m), yb(rows * m);
     scalar.mul_rows_broadcast(ya.data(), x.data(), s.data(), rows, m);
     active.mul_rows_broadcast(yb.data(), x.data(), s.data(), rows, m);
-    expect_near_all(ya, yb, 0.0);
+    expect_bitwise(ya, yb, "mul_rows_broadcast");
     auto za = x, zb = x;
     scalar.mul_rows_broadcast_inplace(za.data(), s.data(), rows, m);
     active.mul_rows_broadcast_inplace(zb.data(), s.data(), rows, m);
-    expect_near_all(za, zb, 0.0);
-  }
-}
-
-void expect_bitwise(const std::vector<double>& expected,
-                    const std::vector<double>& actual, const char* what) {
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], actual[i]) << what << " index " << i;
+    expect_bitwise(za, zb, "mul_rows_broadcast_inplace");
   }
 }
 
 TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
-  // The wide path (m > 8) sweeps at full width under the caller's plan;
+  // Wide panels (m > 8) sweep at full width under panel_plan's shrunk tile;
   // band and stage boundaries only reorder work across elements, so every
   // column must come out BIT-IDENTICAL to the m = 8 panel holding the same
   // columns — not merely close.
@@ -361,8 +387,8 @@ TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
     for (parallel::Backend kind : kBackends) {
       const auto engine = parallel::make_engine(kind);
       std::vector<double> out(n * m);
-      apply_panel_wide_fused(panel, out, m, factors, pre, post, *engine,
-                             BlockedPlan{});
+      apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
+                                          *engine, BlockedPlan{});
       std::vector<double> column(n);
       for (std::size_t j = 0; j < m; ++j) {
         unpack_panel_column(out, m, j, column);
@@ -371,28 +397,28 @@ TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
 
       // In-place (x aliasing y exactly) must equal out-of-place bitwise.
       std::vector<double> in_place = panel;
-      apply_panel_wide_fused(in_place, in_place, m, factors, pre, post,
-                             *engine, BlockedPlan{});
+      apply_blocked_panel_butterfly_fused(in_place, in_place, m, factors, pre,
+                                          post, *engine, BlockedPlan{});
       expect_bitwise(out, in_place, "wide fused in-place");
 
       // The no-scalings wrapper agrees with empty spans through the fused
       // entry point.
       std::vector<double> plain = panel;
-      apply_panel_wide(plain, m, factors, *engine, BlockedPlan{});
+      apply_blocked_panel_butterfly(plain, m, factors, *engine, BlockedPlan{});
       std::vector<double> plain_ref(n * m);
-      apply_panel_wide_fused(panel, plain_ref, m, factors, {}, {}, *engine,
-                             BlockedPlan{});
+      apply_blocked_panel_butterfly_fused(panel, plain_ref, m, factors, {}, {},
+                                          *engine, BlockedPlan{});
       expect_bitwise(plain_ref, plain, "wide plain wrapper");
     }
   }
 }
 
 TEST(PanelWide, OperatorPanelRoutesWideWidthsThroughWidePath) {
-  // FmmpOperator::apply_panel with m in {16, 32}: every column must be
-  // bit-identical to the m = 8 apply_panel of the block holding it (the
-  // full-width sweep only reorders work across elements; per column the
-  // arithmetic matches the m = 8 path), and in-place application must match
-  // out-of-place.
+  // FmmpOperator::apply_panel with m in {16, 32} sweeps at full width: every
+  // column must be bit-identical to the m = 8 apply_panel of the block
+  // holding it (the full-width sweep only reorders work across elements;
+  // per column the arithmetic matches the m = 8 path), and in-place
+  // application must match out-of-place.
   const unsigned nu = 8;
   const std::size_t n = std::size_t{1} << nu;
   const auto model = core::MutationModel::uniform(nu, 0.01);
@@ -536,7 +562,7 @@ TEST(PanelFmmp, MutationModelPanelMatchesPerColumnApply) {
         std::vector<double> column(n);
         for (std::size_t j = 0; j < m; ++j) {
           unpack_panel_column(work, m, j, column);
-          expect_near_all(reference[j], column, kTol);
+          expect_bitwise(reference[j], column, "model panel column");
         }
       }
     }
@@ -544,6 +570,8 @@ TEST(PanelFmmp, MutationModelPanelMatchesPerColumnApply) {
 }
 
 TEST(PanelFmmp, OperatorPanelMatchesPerColumnApplyAllFormulations) {
+  // Every column of apply_panel equals apply() of that column bit for bit,
+  // whichever single-vector tier apply() runs on and at every width.
   const unsigned nu = 8;
   const std::size_t n = std::size_t{1} << nu;
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 33);
@@ -558,26 +586,33 @@ TEST(PanelFmmp, OperatorPanelMatchesPerColumnApplyAllFormulations) {
       if (form == core::Formulation::symmetric && !model.symmetric()) continue;
       for (parallel::Backend kind : kBackends) {
         const auto engine = parallel::make_engine(kind);
-        const core::FmmpOperator op(model, landscape, form, engine.get());
-        const std::size_t m = 4;
-        std::vector<double> panel(n * m), reference(n), x(n);
-        std::vector<std::vector<double>> expected(m);
-        for (std::size_t j = 0; j < m; ++j) {
-          x = random_vector(n, 50 + j);
-          pack_panel_column(x, panel, m, j);
-          expected[j].resize(n);
-          op.apply(x, expected[j]);
+        for (SvKernel tier : available_sv_tiers()) {
+          SCOPED_TRACE(to_string(tier));
+          const core::FmmpOperator op(model, landscape, form, engine.get(),
+                                      LevelOrder::ascending,
+                                      core::EngineKernel::blocked,
+                                      plan_for(tier));
+          for (std::size_t m : {1ul, 2ul, 3ul, 4ul, 8ul, 16ul, 32ul}) {
+            std::vector<double> panel(n * m), x(n);
+            std::vector<std::vector<double>> expected(m);
+            for (std::size_t j = 0; j < m; ++j) {
+              x = random_vector(n, 50 + j);
+              pack_panel_column(x, panel, m, j);
+              expected[j].resize(n);
+              op.apply(x, expected[j]);
+            }
+            std::vector<double> out(n * m);
+            op.apply_panel(panel, out, m);
+            std::vector<double> column(n);
+            for (std::size_t j = 0; j < m; ++j) {
+              unpack_panel_column(out, m, j, column);
+              expect_bitwise(expected[j], column, "operator panel column");
+            }
+            // In-place panel application agrees with out-of-place.
+            op.apply_panel(panel, panel, m);
+            expect_bitwise(out, panel, "operator panel in-place");
+          }
         }
-        std::vector<double> out(n * m);
-        op.apply_panel(panel, out, m);
-        std::vector<double> column(n);
-        for (std::size_t j = 0; j < m; ++j) {
-          unpack_panel_column(out, m, j, column);
-          expect_near_all(expected[j], column, kTol);
-        }
-        // In-place panel application agrees with out-of-place.
-        op.apply_panel(panel, panel, m);
-        expect_near_all(out, panel, 0.0);
       }
     }
   }

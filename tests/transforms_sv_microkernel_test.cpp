@@ -88,6 +88,21 @@ TEST(SvMicrokernel, SimdSpanKernelsBitwiseMatchScalarIncludingTails) {
       table->mul_span_inplace(zb.data(), s.data(), cnt);
       expect_bitwise(za, zb, "mul_span_inplace");
     }
+    // Broadcast row scalings of an interleaved panel: widths below, at, and
+    // past each SIMD width, with tails.
+    for (std::size_t m : {1ul, 2ul, 3ul, 8ul, 16ul}) {
+      const std::size_t rows = 9;
+      const auto x = random_vector(rows * m, m);
+      const auto s = positive_vector(rows, m + 1);
+      std::vector<double> ya(rows * m), yb(rows * m);
+      scalar.mul_rows_broadcast(ya.data(), x.data(), s.data(), rows, m);
+      table->mul_rows_broadcast(yb.data(), x.data(), s.data(), rows, m);
+      expect_bitwise(ya, yb, "mul_rows_broadcast");
+      auto za = x, zb = x;
+      scalar.mul_rows_broadcast_inplace(za.data(), s.data(), rows, m);
+      table->mul_rows_broadcast_inplace(zb.data(), s.data(), rows, m);
+      expect_bitwise(za, zb, "mul_rows_broadcast_inplace");
+    }
   }
 }
 
