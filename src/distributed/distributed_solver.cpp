@@ -23,11 +23,9 @@ namespace {
 // so a rank one level ahead of its partner fails with a named tag mismatch;
 // the reduction/gather tags live above any level index.
 constexpr unsigned kTagStartNorm = 100;
-constexpr unsigned kTagXX = 101;
-constexpr unsigned kTagXY = 102;
-constexpr unsigned kTagRes2 = 103;
+constexpr unsigned kTagRayleigh = 101;       ///< {x·x, x·y}.
+constexpr unsigned kTagResidualNorm1 = 102;  ///< {Σ(y−λx)², Σ|y−μx|}.
 constexpr unsigned kTagControl = 104;
-constexpr unsigned kTagNorm = 105;
 constexpr unsigned kTagSign = 106;
 constexpr unsigned kTagFinalNorm = 107;
 constexpr unsigned kTagGather = 108;
@@ -78,34 +76,30 @@ std::span<const transforms::Factor2> checked_sites(const core::MutationModel& mo
   return model.site_factors();
 }
 
-/// The power loop's global operations over the Exchange: each quantity is a
-/// per-block tree partial combined by a tree-ordered allreduce under its own
-/// tag, which equals the serial tree_engine() reduction bit for bit.
+/// The power loop's global operations over the Exchange: each paired
+/// quantity is a per-block tree partial combined by one 2-element
+/// tree-ordered allreduce under its own tag, which equals the serial
+/// tree_engine() reduction bit for bit.
 class ExchangeReducer final : public solvers::PowerReducer {
  public:
   ExchangeReducer(Exchange& exchange, bool gather)
       : exchange_(exchange), gather_(gather) {}
 
   bool root() const override { return exchange_.rank() == 0; }
-  double dot_xx(std::span<const double> x) override {
-    return exchange_.allreduce_sum(tree_dot(x, x), kTagXX);
+  parallel::PairSum rayleigh(std::span<const double> x,
+                             std::span<const double> y) override {
+    return allreduce(tree_reduce_pair(std::size_t{0}, x.size(),
+                                      solvers::RayleighTerm{x.data(), y.data()}),
+                     kTagRayleigh);
   }
-  double dot_xy(std::span<const double> x, std::span<const double> y) override {
-    return exchange_.allreduce_sum(tree_dot(x, y), kTagXY);
-  }
-  double residual_sq(std::span<const double> x, std::span<const double> y,
-                     double lambda) override {
-    const double* yp = y.data();
-    const double* xp = x.data();
-    const double partial =
-        tree_reduce(std::size_t{0}, x.size(), [yp, xp, lambda](std::size_t i) {
-          const double r = yp[i] - lambda * xp[i];
-          return r * r;
+  parallel::PairSum residual_norm1(std::span<const double> x,
+                                   std::span<const double> y, double lambda,
+                                   double mu, bool check) override {
+    const parallel::PairSum partial = solvers::sum_residual_norm1(
+        x, y, lambda, mu, check, [&x](const auto& term) {
+          return tree_reduce_pair(std::size_t{0}, x.size(), term);
         });
-    return exchange_.allreduce_sum(partial, kTagRes2);
-  }
-  double norm1(std::span<const double> y) override {
-    return exchange_.allreduce_sum(tree_abs_sum(y), kTagNorm);
+    return allreduce(partial, kTagResidualNorm1);
   }
   double sign_sum(std::span<const double> x) override {
     return exchange_.allreduce_sum(tree_sum(x), kTagSign);
@@ -139,6 +133,11 @@ class ExchangeReducer final : public solvers::PowerReducer {
   }
 
  private:
+  parallel::PairSum allreduce(parallel::PairSum partial, unsigned tag) {
+    exchange_.allreduce_sum(std::span<double>(partial), tag);
+    return partial;
+  }
+
   Exchange& exchange_;
   bool gather_;
   std::vector<double> full_;  ///< Rank 0's gather target.

@@ -32,6 +32,12 @@ double TreeEngine::reduce_partials(std::size_t n,
                      [&kernel](std::size_t i) { return kernel(i, i + 1); });
 }
 
+parallel::PairSum TreeEngine::reduce_pair(std::size_t n,
+                                          const parallel::PairKernel& kernel) const {
+  return tree_reduce_pair(std::size_t{0}, n,
+                          [&kernel](std::size_t i) { return kernel(i, i + 1); });
+}
+
 const parallel::Engine& tree_engine() {
   static const TreeEngine engine;
   return engine;

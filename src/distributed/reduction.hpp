@@ -52,6 +52,30 @@ double tree_reduce(std::size_t begin, std::size_t end, const Leaf& leaf) {
          tree_reduce(begin + half, end, leaf);
 }
 
+/// Two tree reductions in one recursion: `leaf(i)` returns both leaves
+/// (a parallel::PairSum), and each component is combined exactly as
+/// tree_reduce combines it, so component k equals tree_reduce over the
+/// k-th leaves bit for bit.
+template <typename Leaf>
+parallel::PairSum tree_reduce_pair(std::size_t begin, std::size_t end,
+                                   const Leaf& leaf) {
+  const auto add = [](const parallel::PairSum& a, const parallel::PairSum& b) {
+    return parallel::PairSum{a[0] + b[0], a[1] + b[1]};
+  };
+  const std::size_t n = end - begin;
+  switch (n) {
+    case 0: return {0.0, 0.0};
+    case 1: return leaf(begin);
+    case 2: return add(leaf(begin), leaf(begin + 1));
+    case 4: return add(add(leaf(begin), leaf(begin + 1)),
+                       add(leaf(begin + 2), leaf(begin + 3)));
+    default: break;
+  }
+  const std::size_t half = std::bit_ceil(n) / 2;
+  return add(tree_reduce_pair(begin, begin + half, leaf),
+             tree_reduce_pair(begin + half, end, leaf));
+}
+
 /// Tree-ordered sum of a span.
 inline double tree_sum(std::span<const double> v) {
   const double* p = v.data();
@@ -81,11 +105,11 @@ inline double tree_dot(std::span<const double> a, std::span<const double> b) {
                      [pa, pb](std::size_t i) { return pa[i] * pb[i]; });
 }
 
-/// Serial engine whose reductions all use the tree order above.  dispatch /
-/// reduce_partials run their kernels per element so the combination order is
-/// the engine's, not the kernel body's — slower than a fused sweep, but this
-/// engine exists for equivalence testing and facade comparisons, not for
-/// production throughput.
+/// Serial engine whose reductions all use the tree order above.
+/// reduce_partials / reduce_pair run their kernels per element so the
+/// combination order is the engine's, not the kernel body's — slower than a
+/// fused sweep, but this engine exists for equivalence testing and facade
+/// comparisons, not for production throughput.
 class TreeEngine final : public parallel::Engine {
  public:
   std::string_view name() const override { return "tree-serial"; }
@@ -98,6 +122,8 @@ class TreeEngine final : public parallel::Engine {
                     std::span<const double> b) const override;
   double reduce_partials(std::size_t n,
                          const parallel::PartialKernel& kernel) const override;
+  parallel::PairSum reduce_pair(std::size_t n,
+                                const parallel::PairKernel& kernel) const override;
 };
 
 /// Process-lifetime TreeEngine instance.

@@ -12,6 +12,7 @@
 // of Figure 4).  See DESIGN.md, "Substitutions".
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -68,6 +69,13 @@ using RangeKernel = FunctionRef<void(std::size_t begin, std::size_t end)>;
 /// without materialising a scratch vector.
 using PartialKernel = FunctionRef<double(std::size_t begin, std::size_t end)>;
 
+/// Two sums taken in one sweep (see Engine::reduce_pair).
+using PairSum = std::array<double, 2>;
+
+/// A paired partial reduction: the body returns both partial sums for
+/// [begin, end), so two reductions over the same vectors cost one pass.
+using PairKernel = FunctionRef<PairSum(std::size_t begin, std::size_t end)>;
+
 /// Abstract execution backend with kernel-launch semantics.
 class Engine {
  public:
@@ -109,6 +117,19 @@ class Engine {
   /// concurrently on disjoint ranges; the combination order of partials is
   /// backend-defined (like any floating-point parallel reduction).
   virtual double reduce_partials(std::size_t n, const PartialKernel& kernel) const = 0;
+
+  /// Paired reduction: sums both components of `kernel`'s partials over
+  /// [0, n) in one sweep.  Unlike reduce_partials the combination order is
+  /// fixed: the default splits [0, n) into one contiguous block per lane
+  /// (concurrency() blocks, at most kMaxPairBlocks), runs the blocks through
+  /// dispatch(), and adds the block partials in block order — so a backend
+  /// with one lane computes exactly kernel(0, n), and repeated calls on any
+  /// backend give the same bits.  Same exception contract as dispatch().
+  virtual PairSum reduce_pair(std::size_t n, const PairKernel& kernel) const;
+
+  /// Upper bound on the default reduce_pair's block count (its partials
+  /// live on the stack, so the call never allocates).
+  static constexpr std::size_t kMaxPairBlocks = 64;
 };
 
 /// Available backend kinds.

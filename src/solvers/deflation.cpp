@@ -28,7 +28,7 @@ SpectralGap spectral_gap(const core::MutationModel& model,
   PowerOptions popts;
   popts.tolerance = options.tolerance;
   popts.max_iterations = options.max_iterations;
-  const auto dominant = power_iteration(op, landscape_start(landscape), popts);
+  const auto dominant = power_iteration_owned(op, landscape_start(landscape), popts);
   require(dominant.converged, "spectral_gap: dominant power iteration failed");
 
   // Orthonormalise the dominant eigenvector (power_iteration returns it

@@ -205,7 +205,7 @@ KroneckerResult solve_kronecker(const core::MutationModel& model,
     const core::FmmpOperator op(sub_model, sub_landscape, core::Formulation::right,
                                 options.engine);
     PowerResult r =
-        power_iteration(op, landscape_start(sub_landscape), sub_options);
+        power_iteration_owned(op, landscape_start(sub_landscape), sub_options);
     require(r.converged, "solve_kronecker: subproblem power iteration failed");
     eigenvalue *= r.eigenvalue;
     vectors.push_back(std::move(r.eigenvector));

@@ -25,6 +25,18 @@ void dispatch(const parallel::Engine* engine, std::size_t n, const Kernel& kerne
   }
 }
 
+/// Left-to-right sums of both components of term(i) over [begin, end).
+template <typename Term>
+parallel::PairSum sweep(std::size_t begin, std::size_t end, const Term& term) {
+  parallel::PairSum acc{0.0, 0.0};
+  for (std::size_t i = begin; i < end; ++i) {
+    const parallel::PairSum t = term(i);
+    acc[0] += t[0];
+    acc[1] += t[1];
+  }
+  return acc;
+}
+
 /// The engine-local reducer: every global operation is one engine
 /// reduction, or with no engine the serial fallback.
 class EngineReducer final : public PowerReducer {
@@ -32,27 +44,16 @@ class EngineReducer final : public PowerReducer {
   explicit EngineReducer(const parallel::Engine* engine) : engine_(engine) {}
 
   bool root() const override { return true; }
-  double dot_xx(std::span<const double> x) override { return dot_xy(x, x); }
-  double dot_xy(std::span<const double> x, std::span<const double> y) override {
-    return engine_ != nullptr ? engine_->reduce_dot(x, y) : linalg::dot(x, y);
+  parallel::PairSum rayleigh(std::span<const double> x,
+                             std::span<const double> y) override {
+    return sum(x.size(), RayleighTerm{x.data(), y.data()});
   }
-  double residual_sq(std::span<const double> x, std::span<const double> y,
-                     double lambda) override {
-    const double* yp = y.data();
-    const double* xp = x.data();
-    auto kernel = [yp, xp, lambda](std::size_t begin, std::size_t end) {
-      double acc = 0.0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const double r = yp[i] - lambda * xp[i];
-        acc += r * r;
-      }
-      return acc;
-    };
-    return engine_ != nullptr ? engine_->reduce_partials(x.size(), kernel)
-                              : kernel(0, x.size());
-  }
-  double norm1(std::span<const double> y) override {
-    return engine_ != nullptr ? engine_->reduce_abs_sum(y) : linalg::norm1(y);
+  parallel::PairSum residual_norm1(std::span<const double> x,
+                                   std::span<const double> y, double lambda,
+                                   double mu, bool check) override {
+    return sum_residual_norm1(x, y, lambda, mu, check, [this, &x](const auto& term) {
+      return sum(x.size(), term);
+    });
   }
   double sign_sum(std::span<const double> x) override {
     return engine_ != nullptr ? engine_->reduce_sum(x) : linalg::sum(x);
@@ -66,6 +67,14 @@ class EngineReducer final : public PowerReducer {
   }
 
  private:
+  template <typename Term>
+  parallel::PairSum sum(std::size_t n, const Term& term) const {
+    auto kernel = [&term](std::size_t begin, std::size_t end) {
+      return sweep(begin, end, term);
+    };
+    return engine_ != nullptr ? engine_->reduce_pair(n, kernel) : kernel(0, n);
+  }
+
   const parallel::Engine* engine_;
 };
 
@@ -96,17 +105,26 @@ void iterate_power(const core::LinearOperator& op, IterationDriver& driver,
     op.apply(x, y);  // y = W x (unshifted product)
     out.iterations = it;
 
-    bool time_due = false;
-    if (driver.should_check(it, options.max_iterations)) {
+    // Two paired sweeps read x and y; neither writes, so a stop below
+    // leaves x as the pre-update iterate.
+    const bool check = driver.should_check(it, options.max_iterations);
+    double lambda = 0.0;
+    double xx = 0.0;
+    if (check) {
       // Rayleigh quotient from the product already in hand.
-      const double xx = reducer.dot_xx(x);
-      const double xy = reducer.dot_xy(x, y);
-      const double lambda = xy / xx;
-      // Residual ||y - lambda x||_2 formed explicitly.  (The algebraically
-      // equivalent sqrt(yy - xy^2/xx) cancels catastrophically: its noise
-      // floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above the
-      // tolerances this solver targets.)
-      const double res2 = reducer.residual_sq(x, y, lambda);
+      const parallel::PairSum r = reducer.rayleigh(x, y);
+      xx = r[0];
+      lambda = r[1] / xx;
+    }
+    // Residual ||y - lambda x||_2 formed explicitly (the algebraically
+    // equivalent sqrt(yy - xy^2/xx) cancels catastrophically: its noise
+    // floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above the
+    // tolerances this solver targets), and the 1-norm of the shifted
+    // product (W - mu I) x, both from one sweep.
+    const auto [res2, norm] = reducer.residual_norm1(x, y, lambda, mu, check);
+
+    bool time_due = false;
+    if (check) {
       // Numerical-health guard: a NaN/Inf iterate makes both the Rayleigh
       // quotient and the residual non-finite.  Fail fast with a structured
       // reason instead of spinning max_iterations on garbage.
@@ -135,28 +153,28 @@ void iterate_power(const core::LinearOperator& op, IterationDriver& driver,
       }
     }
 
-    // Shifted update x <- (W - mu I) x, then 1-norm normalisation; every
-    // element-wise pass goes through the engine so a parallel backend covers
-    // the whole iteration, not just the reductions.
-    if (mu != 0.0) {
-      double* yp = y.data();
-      const double* xp = x.data();
-      dispatch(options.engine, n, [yp, xp, mu](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) yp[i] -= mu * xp[i];
-      });
-    }
-    const double norm = reducer.norm1(y);
     // The 1-norm is computed every iteration anyway, so checking it for
     // NaN/Inf costs one compare and catches a poisoned product at the
     // earliest possible iteration — before it can reach a checkpoint.
     if (!driver.guard({norm}, out)) break;
     require(norm > 0.0, "power_iteration: iterate collapsed to zero");
+    // Shifted, normalised update x <- (W - mu I) x / ||(W - mu I) x||_1 in
+    // one element-wise pass through the engine, so a parallel backend covers
+    // the whole iteration.  The shifted product is never stored: each
+    // element rounds y_i - mu x_i, then the product with inv, exactly as a
+    // shift pass followed by a scaling pass would.
     const double inv = 1.0 / norm;
     const double* yp = y.data();
     double* xp = x.data();
-    dispatch(options.engine, n, [yp, xp, inv](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) xp[i] = yp[i] * inv;
-    });
+    if (mu != 0.0) {
+      dispatch(options.engine, n, [yp, xp, mu, inv](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) xp[i] = (yp[i] - mu * xp[i]) * inv;
+      });
+    } else {
+      dispatch(options.engine, n, [yp, xp, inv](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) xp[i] = yp[i] * inv;
+      });
+    }
 
     // Periodic checkpoint, written only after the health guard above passed:
     // the last checkpoint on disk is always a finite, resumable state.
@@ -211,16 +229,24 @@ PowerResult power_iteration(const core::LinearOperator& op,
                             const PowerOptions& options) {
   const std::size_t n = static_cast<std::size_t>(op.dimension());
   require(n > 0, "power_iteration: empty operator");
-  require(start.empty() || start.size() == n,
-          "power_iteration: starting vector has wrong dimension");
-
-  std::vector<double> iterate(n, 1.0 / static_cast<double>(n));
   if (!start.empty()) {
-    linalg::copy(start, iterate);
-    linalg::normalize1(iterate);
+    return power_iteration_owned(op, std::vector<double>(start.begin(), start.end()),
+                                 options);
   }
   EngineReducer reducer(options.engine);
-  return run_power_iteration(op, std::move(iterate), nullptr, options, reducer);
+  return run_power_iteration(op, std::vector<double>(n, 1.0 / static_cast<double>(n)),
+                             nullptr, options, reducer);
+}
+
+PowerResult power_iteration_owned(const core::LinearOperator& op,
+                                  std::vector<double> start,
+                                  const PowerOptions& options) {
+  const std::size_t n = static_cast<std::size_t>(op.dimension());
+  require(n > 0, "power_iteration: empty operator");
+  require(start.size() == n, "power_iteration: starting vector has wrong dimension");
+  linalg::normalize1(start);
+  EngineReducer reducer(options.engine);
+  return run_power_iteration(op, std::move(start), nullptr, options, reducer);
 }
 
 PowerResult resume_power_iteration(const core::LinearOperator& op,

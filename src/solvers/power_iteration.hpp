@@ -22,11 +22,13 @@
 // distributed/distributed_solver.hpp).  PowerReducer is the seam.
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <vector>
 
 #include "core/operators.hpp"
 #include "io/binary_io.hpp"
+#include "parallel/engine.hpp"
 #include "solvers/iteration_driver.hpp"
 
 namespace qs::solvers {
@@ -48,6 +50,52 @@ struct PowerResult : IterationResult {
   std::vector<double> eigenvector;  ///< 1-norm normalised, nonnegative.
 };
 
+/// The per-element terms of PowerReducer::rayleigh: {x_i x_i, x_i y_i}.
+/// Every reducer sums exactly these terms and differs only in the order it
+/// adds them, so each term rounds the same on every engine and rank.
+struct RayleighTerm {
+  const double* x;
+  const double* y;
+  parallel::PairSum operator()(std::size_t i) const {
+    return {x[i] * x[i], x[i] * y[i]};
+  }
+};
+
+/// The per-element terms of PowerReducer::residual_norm1:
+/// {(y_i - lambda x_i)^2, |y_i - mu x_i|}; without `Check` the first is 0,
+/// without `Shift` the second is |y_i|.
+template <bool Check, bool Shift>
+struct ResidualNorm1Term {
+  const double* x;
+  const double* y;
+  double lambda;
+  double mu;
+  parallel::PairSum operator()(std::size_t i) const {
+    double r2 = 0.0;
+    if constexpr (Check) {
+      const double r = y[i] - lambda * x[i];
+      r2 = r * r;
+    }
+    return {r2, std::abs(Shift ? y[i] - mu * x[i] : y[i])};
+  }
+};
+
+/// Returns sum(term) for the ResidualNorm1Term variant that (check, mu != 0)
+/// selects, so each variant's sweep is branch-free.
+template <typename Sum>
+parallel::PairSum sum_residual_norm1(std::span<const double> x,
+                                     std::span<const double> y, double lambda,
+                                     double mu, bool check, const Sum& sum) {
+  const double* xp = x.data();
+  const double* yp = y.data();
+  if (check) {
+    return mu != 0.0 ? sum(ResidualNorm1Term<true, true>{xp, yp, lambda, mu})
+                     : sum(ResidualNorm1Term<true, false>{xp, yp, lambda, mu});
+  }
+  return mu != 0.0 ? sum(ResidualNorm1Term<false, true>{xp, yp, lambda, mu})
+                   : sum(ResidualNorm1Term<false, false>{xp, yp, lambda, mu});
+}
+
 /// The global operations of the power loop — everything that reads the
 /// whole vector, not the caller's part of it.  A serial solve reduces with
 /// its engine; a distributed rank combines block partials across ranks, so
@@ -66,12 +114,16 @@ class PowerReducer {
   /// True on the one participant that reports (hooks, metrics, checkpoint
   /// writes): rank 0 of a distributed solve.
   virtual bool root() const = 0;
-  virtual double dot_xx(std::span<const double> x) = 0;
-  virtual double dot_xy(std::span<const double> x, std::span<const double> y) = 0;
-  /// sum_i (y_i - lambda x_i)^2
-  virtual double residual_sq(std::span<const double> x, std::span<const double> y,
-                             double lambda) = 0;
-  virtual double norm1(std::span<const double> y) = 0;
+  /// {x·x, x·y}: the Rayleigh quotient's sums (RayleighTerm), one sweep.
+  virtual parallel::PairSum rayleigh(std::span<const double> x,
+                                     std::span<const double> y) = 0;
+  /// {sum_i (y_i - lambda x_i)^2, sum_i |y_i - mu x_i|}: the residual and
+  /// the 1-norm of the shifted product (ResidualNorm1Term), one sweep.  The
+  /// first is 0 when !check.
+  virtual parallel::PairSum residual_norm1(std::span<const double> x,
+                                           std::span<const double> y,
+                                           double lambda, double mu,
+                                           bool check) = 0;
   /// Sum of the entries (the Perron orientation test).
   virtual double sign_sum(std::span<const double> x) = 0;
   virtual Control agree(Control mine) = 0;
@@ -104,6 +156,14 @@ PowerResult run_power_iteration(const core::LinearOperator& op,
 PowerResult power_iteration(const core::LinearOperator& op,
                             std::span<const double> start = {},
                             const PowerOptions& options = {});
+
+/// power_iteration from a non-empty `start` that is handed over: the vector
+/// is 1-norm normalised in place and becomes the iterate, so a solve
+/// allocates, first-touches and copies one N-vector fewer.  Same results as
+/// power_iteration(op, start, options), bit for bit.
+PowerResult power_iteration_owned(const core::LinearOperator& op,
+                                  std::vector<double> start,
+                                  const PowerOptions& options = {});
 
 /// Resumes a power iteration from a checkpoint written by a previous run
 /// with the same operator and options.  The iterate is taken verbatim (no

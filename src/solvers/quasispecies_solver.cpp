@@ -86,7 +86,7 @@ QuasispeciesResult solve(const core::MutationModel& model,
 
   PowerResult r = options.resume != nullptr
                       ? resume_power_iteration(*op, *options.resume, popts)
-                      : power_iteration(*op, landscape_start(landscape), popts);
+                      : power_iteration_owned(*op, landscape_start(landscape), popts);
 
   // Graceful degradation, one restart at most: prefer the last good
   // checkpoint (periodic checkpoints are only written with a finite
@@ -123,7 +123,7 @@ QuasispeciesResult solve(const core::MutationModel& model,
       QS_TRACE_INSTANT_ARG("facade.recover.shift_fallback", facade, r.residual,
                            static_cast<std::int64_t>(r.iterations));
       popts.shift = 0.0;
-      r = power_iteration(*op, landscape_start(landscape), popts);
+      r = power_iteration_owned(*op, landscape_start(landscape), popts);
       checkpoint_failures += r.checkpoint_failures;
     }
   }

@@ -85,6 +85,8 @@ class FaultInjectingOperator final : public core::LinearOperator {
 /// reduce_partials) throw InjectedFault from inside exactly one lane; all
 /// other lanes run normally, so the test exercises the backend's
 /// first-exception capture and barrier completion, not an empty dispatch.
+/// reduce_pair is the Engine default, which runs through dispatch(), so a
+/// paired sum counts (and can fault) as a dispatch.
 class FaultInjectingEngine final : public parallel::Engine {
  public:
   struct Config {

@@ -1,9 +1,10 @@
 // Zero-allocation guarantee for the solver hot path.
 //
 // With a PlannedOperator supplying the scratch workspace, the power
-// iteration's steady-state loop — banded matvec, Rayleigh quotient,
-// residual, shift, normalisation — must perform zero heap allocations per
-// iteration on the serial backend.  The counting operator-new hooks in
+// iteration's steady-state loop — banded matvec, the paired Rayleigh and
+// residual/1-norm sums, the shifted normalisation — must perform zero heap
+// allocations per iteration, on the serial backend and on the threaded
+// parallel_engine().  The counting operator-new hooks in
 // alloc_hooks.cpp (linked into this binary only) make that measurable: the
 // test samples support::allocation_count() from the on_residual hook into a
 // preallocated array (the hook itself must not allocate either) and asserts
@@ -19,6 +20,7 @@
 #include "core/mutation_model.hpp"
 #include "core/planned_operator.hpp"
 #include "obs/trace.hpp"
+#include "parallel/engine.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
@@ -39,30 +41,40 @@ TEST(AllocGuardTest, CountingHooksAreLinkedIntoThisBinary) {
 TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   const auto model = core::MutationModel::uniform(10, 0.01);
   const auto fitness = core::Landscape::random(10, 5.0, 1.0, 77);
-  const core::PlannedOperator op(model, fitness);
+  // The default (serial) route, and the threaded engine running both the
+  // banded product and the loop's paired sums and normalise pass.
+  for (const parallel::Engine* engine : {static_cast<const parallel::Engine*>(nullptr),
+                                         &parallel::parallel_engine()}) {
+    SCOPED_TRACE(engine != nullptr ? engine->name() : "default");
+    core::PlannedOperatorConfig config;
+    config.engine = engine;
+    const core::PlannedOperator op(model, fitness, config);
 
-  constexpr unsigned kIterations = 60;
-  solvers::PowerOptions options;
-  options.tolerance = 0.0;  // never converge: run all iterations
-  options.stall_window = 0;
-  options.max_iterations = kIterations;
-  options.workspace = &op.workspace();
+    constexpr unsigned kIterations = 60;
+    solvers::PowerOptions options;
+    options.tolerance = 0.0;  // never converge: run all iterations
+    options.stall_window = 0;
+    options.max_iterations = kIterations;
+    options.workspace = &op.workspace();
+    options.engine = engine;
 
-  // Fixed-size sample buffer: the hook itself must not allocate, or it
-  // would trip the very counter it samples.
-  std::array<std::uint64_t, kIterations + 1> samples{};
-  options.on_residual = [&samples](unsigned it, double) {
-    if (it < samples.size()) samples[it] = support::allocation_count();
-  };
+    // Fixed-size sample buffer: the hook itself must not allocate, or it
+    // would trip the very counter it samples.
+    std::array<std::uint64_t, kIterations + 1> samples{};
+    options.on_residual = [&samples](unsigned it, double) {
+      if (it < samples.size()) samples[it] = support::allocation_count();
+    };
 
-  const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
-  ASSERT_EQ(result.iterations, kIterations);
-  ASSERT_EQ(result.failure, solvers::SolverFailure::none);
+    const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
+    ASSERT_EQ(result.iterations, kIterations);
+    ASSERT_EQ(result.failure, solvers::SolverFailure::none);
 
-  // Iteration 1's sample is taken after the loop's one-time setup (start
-  // vector, workspace growth); from then on the counter must not move.
-  for (unsigned it = 2; it <= kIterations; ++it) {
-    EXPECT_EQ(samples[it], samples[1]) << "allocation during iteration " << it;
+    // Iteration 1's sample is taken after the loop's one-time setup (start
+    // vector, workspace growth, engine threads); from then on the counter
+    // must not move.
+    for (unsigned it = 2; it <= kIterations; ++it) {
+      EXPECT_EQ(samples[it], samples[1]) << "allocation during iteration " << it;
+    }
   }
 }
 

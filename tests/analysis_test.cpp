@@ -1,13 +1,16 @@
 // Unit tests for error-class analysis, sweeps and threshold detection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "analysis/error_classes.hpp"
 #include "analysis/sweep.hpp"
 #include "analysis/threshold.hpp"
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
 
 namespace qs::analysis {
 namespace {
@@ -21,6 +24,30 @@ TEST(ErrorClasses, ConcentrationsPartitionTheTotal) {
   for (double c : classes) total_classes += c;
   for (double v : x) total_x += v;
   EXPECT_NEAR(total_classes, total_x, 1e-12);
+}
+
+TEST(ErrorClasses, BlockedSumsMatchThePerElementLoopBitwise) {
+  // class_concentrations walks 256-index blocks (a low-byte table plus one
+  // popcount of the high bits); each bin must still add its entries in index
+  // order, so the result equals the naive per-element loop bit for bit —
+  // below, at, and above one block, for every kind of reference.
+  for (const unsigned nu : {1u, 7u, 8u, 9u, 12u}) {
+    const seq_t n = sequence_count(nu);
+    Xoshiro256 rng(nu);
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.uniform(0.0, 1.0);
+    for (const seq_t reference : {seq_t{0}, n - 1, rng() % n}) {
+      std::vector<double> naive(nu + 1, 0.0);
+      for (seq_t i = 0; i < n; ++i) naive[hamming_distance(i, reference)] += x[i];
+      const auto blocked = class_concentrations(nu, x, reference);
+      ASSERT_EQ(blocked.size(), naive.size());
+      for (unsigned k = 0; k <= nu; ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(blocked[k]),
+                  std::bit_cast<std::uint64_t>(naive[k]))
+            << "nu=" << nu << " reference=" << reference << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(ErrorClasses, DeltaVectorLandsInOneClass) {

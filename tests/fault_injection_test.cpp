@@ -154,6 +154,24 @@ TEST_P(FaultyEngineTest, ReduceThrowSurfacesOnTheDispatchingThread) {
   EXPECT_EQ(total, 1000.0);
 }
 
+TEST_P(FaultyEngineTest, PairedReduceThrowSurfacesOnTheDispatchingThread) {
+  // The default reduce_pair runs its blocks through dispatch(), so a fault
+  // in one block's kernel takes the backend's capture-barrier-rethrow path.
+  testing::FaultInjectingEngine::Config cfg;
+  cfg.throw_at_dispatch = 1;
+  const testing::FaultInjectingEngine engine(*inner_, cfg);
+  EXPECT_THROW(engine.reduce_pair(100000,
+                                  [](std::size_t, std::size_t) {
+                                    return parallel::PairSum{0.0, 0.0};
+                                  }),
+               testing::InjectedFault);
+  const parallel::PairSum total = engine.reduce_pair(
+      1000, [](std::size_t begin, std::size_t end) {
+        return parallel::PairSum{double(end - begin), 0.0};
+      });
+  EXPECT_EQ(total[0], 1000.0);
+}
+
 TEST_P(FaultyEngineTest, ThrowInsideTheButterflyDispatchPath) {
   // The Fmmp product dispatches its butterfly levels through the engine; a
   // kernel fault deep inside that path must reach the power iteration's

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/mutation_model.hpp"
+#include "distributed/reduction.hpp"
 #include "parallel/thread_pool_backend.hpp"
 #include "support/rng.hpp"
 
@@ -113,6 +117,128 @@ TEST_P(EngineTest, ReducePartialsPropagatesKernelExceptions) {
         return static_cast<double>(end - begin);
       });
   EXPECT_EQ(total, 1000.0);
+}
+
+/// Two vectors and the paired kernel over them, {Σ a_i b_i, Σ |a_i − b_i/2|},
+/// plus each component as its own scalar kernel.
+struct PairCase {
+  std::vector<double> a, b;
+
+  explicit PairCase(std::size_t n) : a(n), b(n) {
+    Xoshiro256 rng(n + 7);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.uniform(-1.0, 1.0);
+      b[i] = rng.uniform(-1.0, 1.0);
+    }
+  }
+  double first(std::size_t i) const { return a[i] * b[i]; }
+  double second(std::size_t i) const { return std::abs(a[i] - 0.5 * b[i]); }
+  PairSum pair(std::size_t begin, std::size_t end) const {
+    PairSum acc{0.0, 0.0};
+    for (std::size_t i = begin; i < end; ++i) {
+      acc[0] += first(i);
+      acc[1] += second(i);
+    }
+    return acc;
+  }
+  double scalar(std::size_t begin, std::size_t end, bool second_component) const {
+    double acc = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      acc += second_component ? second(i) : first(i);
+    }
+    return acc;
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The reduce_pair sizes: empty, one, a few, one short of a block per lane,
+/// and a power of two plus a ragged tail.
+std::vector<std::size_t> pair_sizes(const Engine& engine) {
+  return {0, 1, 3, engine.concurrency() - 1, (std::size_t{1} << 10) + 5,
+          (std::size_t{1} << 16) + 5};
+}
+
+// reduce_pair on the backends ThreadSanitizer can judge.  libgomp's
+// barriers are invisible to it (every OpenMP case of EngineTest reports
+// under -L tsan), so the OpenMP checks live in solvers_power_loop_test.cpp
+// and fault_injection_test.cpp, outside the TSan suite.
+class PairReductionTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  std::unique_ptr<Engine> engine_ = make_engine(GetParam());
+};
+
+TEST_P(PairReductionTest, ReducePairIsRepeatableAndSumsBothComponents) {
+  for (const std::size_t n : pair_sizes(*engine_)) {
+    const PairCase data(n);
+    const auto pair = [&data](std::size_t begin, std::size_t end) {
+      return data.pair(begin, end);
+    };
+    const PairSum first = engine_->reduce_pair(n, pair);
+    // The combine order is fixed on every backend: the same bits each call.
+    for (int rep = 0; rep < 5; ++rep) {
+      const PairSum again = engine_->reduce_pair(n, pair);
+      ASSERT_EQ(bits(again[0]), bits(first[0])) << "n=" << n << " rep " << rep;
+      ASSERT_EQ(bits(again[1]), bits(first[1])) << "n=" << n << " rep " << rep;
+    }
+    for (const bool second : {false, true}) {
+      const double scalar = engine_->reduce_partials(
+          n, [&data, second](std::size_t begin, std::size_t end) {
+            return data.scalar(begin, end, second);
+          });
+      if (GetParam() == Backend::serial) {
+        // One lane: exactly reduce_partials of the matching scalar kernel.
+        EXPECT_EQ(bits(first[second ? 1 : 0]), bits(scalar)) << "n=" << n;
+      } else {
+        EXPECT_NEAR(first[second ? 1 : 0], scalar, 1e-12 * (1.0 + std::abs(scalar)))
+            << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(PairReductionTest, ReducePairPropagatesKernelExceptions) {
+  EXPECT_THROW(engine_->reduce_pair(100000,
+                                    [](std::size_t begin, std::size_t) -> PairSum {
+                                      if (begin == 0) {
+                                        throw std::runtime_error("pair fault");
+                                      }
+                                      return {0.0, 0.0};
+                                    }),
+               std::runtime_error);
+  // Paired reductions still work afterwards.
+  const PairSum total = engine_->reduce_pair(
+      1000, [](std::size_t begin, std::size_t end) {
+        return PairSum{static_cast<double>(end - begin), 1.0};
+      });
+  EXPECT_EQ(total[0], 1000.0);
+  EXPECT_GE(total[1], 1.0);
+  EXPECT_LE(total[1], static_cast<double>(Engine::kMaxPairBlocks));
+}
+
+INSTANTIATE_TEST_SUITE_P(SerialAndThreadPool, PairReductionTest,
+                         ::testing::Values(Backend::serial, Backend::thread_pool),
+                         [](const auto& info) {
+                           return info.param == Backend::serial ? "serial"
+                                                                : "thread_pool";
+                         });
+
+TEST(TreeEngine, ReducePairMatchesReducePartialsPerComponent) {
+  const Engine& tree = distributed::tree_engine();
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{7}, (std::size_t{1} << 10) + 5}) {
+    const PairCase data(n);
+    const PairSum pair = tree.reduce_pair(n, [&data](std::size_t begin, std::size_t end) {
+      return data.pair(begin, end);
+    });
+    for (const bool second : {false, true}) {
+      const double scalar = tree.reduce_partials(
+          n, [&data, second](std::size_t begin, std::size_t end) {
+            return data.scalar(begin, end, second);
+          });
+      EXPECT_EQ(bits(pair[second ? 1 : 0]), bits(scalar)) << "n=" << n;
+    }
+  }
 }
 
 TEST_P(EngineTest, ExceptionTypeAndMessageSurviveThePropagation) {
