@@ -1,7 +1,7 @@
 // Figure 2 reproduction: runtimes of the implicit matrix-vector products
 // W x = (Q F) x on a single CPU core, extended with the engine-backed Fmmp
 // columns (per-level Algorithm 2 vs the cache-blocked banded kernel), the
-// multi-vector panel kernel, and the BlockedPlan autotuner.
+// multi-vector panel kernel.
 //
 // Series (as in the paper): Xmvp(nu) — fully accurate sparsified XOR
 // product, cost Theta(N^2), equivalent to Smvp up to constants; Xmvp(1) —
@@ -26,10 +26,6 @@
 // the sequential baseline reuses at most 8 distinct buffer pairs cycled
 // m/8 times so baseline memory stays capped regardless of m.
 //
-// Autotune columns: the measured-candidate BlockedPlan autotuner vs the
-// fixed default plan (2^14, 2^6) at every nu.  The default is always among
-// the measured candidates and wins ties, so tuned <= default up to noise.
-//
 // Size caps (defaults; override with QS_BENCH_MAX_NU): Fmmp/Xmvp(1) to
 // nu = 22, the quadratic Xmvp(nu) to nu = 14 — beyond that its cost is
 // extrapolated from the measured slope, exactly as the paper extrapolates
@@ -53,7 +49,6 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "transforms/panel_butterfly.hpp"
-#include "transforms/plan_autotune.hpp"
 #include "transforms/sv_microkernel.hpp"
 
 namespace {
@@ -64,13 +59,6 @@ struct PanelPoint {
   double seconds = 0.0;             // one panel product, all m vectors
   double seq_seconds = 0.0;         // m sequential products, distinct vectors
   double per_vector_speedup = 0.0;  // seq / panel
-};
-
-struct AutotunePoint {
-  qs::transforms::BlockedPlan tuned;
-  double default_seconds = 0.0;
-  double tuned_seconds = 0.0;
-  std::size_t candidates = 0;
 };
 
 struct Fig2Row {
@@ -86,7 +74,6 @@ struct Fig2Row {
   double pool_level_s = 0.0;
   double pool_blocked_s = 0.0;
   std::vector<PanelPoint> panel;
-  AutotunePoint autotune;
 };
 
 void write_json(const std::string& path, double p, unsigned max_nu,
@@ -100,7 +87,7 @@ void write_json(const std::string& path, double p, unsigned max_nu,
   // Provenance: why two hosts produce different rows.  Mirrors the
   // simd_tier / plan.* keys of the --metrics snapshot (src/obs/metrics.hpp)
   // so bench JSON and solver telemetry can be joined on the same fields.
-  const auto caches = qs::transforms::detect_cache_hierarchy();
+  const auto caches = qs::bench::detect_cache_hierarchy();
   const qs::transforms::BlockedPlan default_plan{};
   // One kernel table serves panels and single vectors; the "panel_kernels"
   // key keeps its name so older BENCH_fig2.json files still line up.
@@ -150,15 +137,7 @@ void write_json(const std::string& path, double p, unsigned max_nu,
           << ", \"per_vector_speedup\": " << pt.per_vector_speedup << "}"
           << (i + 1 < row.panel.size() ? "," : "") << "\n";
     }
-    out << "      ],\n"
-        << "      \"autotune\": {\"tile_log2\": " << row.autotune.tuned.tile_log2
-        << ", \"chunk_log2\": " << row.autotune.tuned.chunk_log2
-        << ", \"sv_kernel\": \""
-        << qs::transforms::resolved_sv_kernel_name(row.autotune.tuned.sv_kernel)
-        << "\", \"sv_max_radix\": " << row.autotune.tuned.sv_max_radix
-        << ", \"default_s\": " << row.autotune.default_seconds
-        << ", \"tuned_s\": " << row.autotune.tuned_seconds
-        << ", \"candidates\": " << row.autotune.candidates << "}\n"
+    out << "      ]\n"
         << "    }" << (r + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -206,8 +185,6 @@ int main() {
                          "panel m=4 [s]", "panel m=8 [s]", "panel m=16 [s]",
                          "panel m=32 [s]", "per-vec m=2", "per-vec m=4",
                          "per-vec m=8", "per-vec m=16", "per-vec m=32"});
-  TextTable tune_table({"nu", "default (14,6) [s]", "tuned [s]", "tuned plan",
-                        "speedup", "candidates"});
   CsvWriter csv(std::cout);
   csv.header({"nu", "xmvp_full_s", "xmvp_full_extrapolated", "xmvp1_s", "fmmp_s",
               "fmmp_omp_level_s", "fmmp_omp_blocked_s", "fmmp_pool_level_s",
@@ -303,38 +280,6 @@ int main() {
       panel_table.add_row(cells);
     }
 
-    // Autotune column: measured-candidate plan vs the fixed default at this nu.
-    {
-      const auto report =
-          transforms::autotune_blocked_plan(nu, *serial_engine, 1, 2);
-      row.autotune.tuned = report.best;
-      row.autotune.default_seconds = report.timings.front().seconds;
-      row.autotune.candidates = report.timings.size();
-      row.autotune.tuned_seconds = row.autotune.default_seconds;
-      // Match on the full plan identity — tile, chunk, AND the sv kernel
-      // fields — or a stage-2 sv candidate sharing the best tile/chunk would
-      // shadow the winner's measured time.
-      for (const auto& t : report.timings) {
-        if (t.plan.tile_log2 == report.best.tile_log2 &&
-            t.plan.chunk_log2 == report.best.chunk_log2 &&
-            t.plan.sv_kernel == report.best.sv_kernel &&
-            t.plan.sv_max_radix == report.best.sv_max_radix) {
-          row.autotune.tuned_seconds = t.seconds;
-        }
-      }
-      tune_table.add_row(
-          {std::to_string(nu), format_short(row.autotune.default_seconds),
-           format_short(row.autotune.tuned_seconds),
-           "(" + std::to_string(report.best.tile_log2) + "," +
-               std::to_string(report.best.chunk_log2) + "," +
-               transforms::resolved_sv_kernel_name(report.best.sv_kernel) +
-               "/r" + std::to_string(report.best.sv_max_radix) + ")",
-           format_short(row.autotune.default_seconds /
-                        row.autotune.tuned_seconds) +
-               "x",
-           std::to_string(report.timings.size())});
-    }
-
     table.add_row({std::to_string(nu), std::to_string(n),
                    format_short(row.xmvp_full_s) +
                        (row.xmvp_full_extrapolated ? "*" : ""),
@@ -365,10 +310,7 @@ int main() {
                "~2x), and the full-width wide widths (m = 16, 32) hold "
                "per-vector cost within ~1.1-1.7x of the m = 8 sweet spot, "
                "ahead of the sequential fallback in the memory-bound regime "
-               "(m = 8 remains the preferred batch width).\n\n";
-  tune_table.print(std::cout);
-  std::cout << "\nexpected shape: tuned <= default at every nu (the default "
-               "plan is always among the measured candidates and wins ties).\n";
+               "(m = 8 remains the preferred batch width).\n";
 
   write_json(json_path, p, max_nu, rows);
   return 0;

@@ -10,21 +10,19 @@
 //      (healthy builds sit at or below ~1x);
 //   2. the blocked banded kernel <= 3x the classic serial Fmmp (they are the
 //      same algorithm; banded is normally the faster one);
-//   3. one autotune report at nu = 12 measures the default plan first and
-//      returns candidates (plumbing check, not a timing check);
-//   4. in a QS_ENABLE_TRACING build, the runtime-disabled span sites cost
+//   3. in a QS_ENABLE_TRACING build, the runtime-disabled span sites cost
 //      under 2% of a blocked matvec (per-site probe x measured site count),
 //      and a per-phase span breakdown of one matvec + one panel product is
 //      printed.  In a default build the check is structurally free (the
 //      macros compile to nothing) and only a note is printed;
-//   5. a panel-batched replica-ensemble generation's mutation phase (R = 8)
+//   4. a panel-batched replica-ensemble generation's mutation phase (R = 8)
 //      is no slower than 1.3x the sequential per-replica products — healthy
 //      builds sit near 0.5x (i.e. ~2x faster), so this catches the batching
 //      having silently degenerated to the one-vector path;
-//   6. a histogram record (the always-compiled telemetry the service layer
+//   5. a histogram record (the always-compiled telemetry the service layer
 //      runs on) costs under 1% of a blocked matvec even at ~8 records per
 //      solve iteration — pins the hot-path budget of the latency plane;
-//   7. the single-vector SIMD microkernels beat the forced-autovec banded
+//   6. the single-vector SIMD microkernels beat the forced-autovec banded
 //      apply by >= 1.15x (measured: ~1.7x on an AVX-512 host at nu = 16 and
 //      22) — catches the sv dispatch silently falling back to the plain
 //      loops.  Skipped gracefully on hosts where no SIMD table is available
@@ -43,7 +41,6 @@
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/panel_butterfly.hpp"
 #include "transforms/sv_microkernel.hpp"
-#include "transforms/plan_autotune.hpp"
 
 int main() {
   using namespace qs;
@@ -95,20 +92,6 @@ int main() {
     ++failures;
   }
 
-  const auto report = transforms::autotune_blocked_plan(12, engine, 1, 1);
-  const transforms::BlockedPlan def{};
-  if (report.timings.empty() ||
-      report.timings.front().plan.tile_log2 != def.tile_log2 ||
-      report.timings.front().plan.chunk_log2 != def.chunk_log2) {
-    std::cerr << "FAIL: autotune report does not measure the default plan "
-                 "first\n";
-    ++failures;
-  } else {
-    std::cout << "  autotune @ nu=12    : " << report.timings.size()
-              << " candidates, best (" << report.best.tile_log2 << ","
-              << report.best.chunk_log2 << ")\n";
-  }
-
   if (qs::obs::compiled_in()) {
     // Structured breakdown: one instrumented matvec + one panel product,
     // aggregated per span name from the obs rings.
@@ -158,7 +141,7 @@ int main() {
   }
 
   {
-    // Check 5: the ensemble's panel-batched mutation phase must actually
+    // Check 4: the ensemble's panel-batched mutation phase must actually
     // batch.  Same operator config as the ensemble engine uses internally;
     // compute_expected is idempotent on the populations, so best-of timing
     // is sound.
@@ -183,7 +166,7 @@ int main() {
   }
 
   {
-    // Check 6: histogram records are always compiled (no tracing gate), so
+    // Check 5: histogram records are always compiled (no tracing gate), so
     // their cost is a standing tax on every instrumented path.  Budget: a
     // solve iteration records a handful of durations/ratios (queue wait,
     // cache lookup, exchange segments, residual decay — call it 8); that
@@ -211,9 +194,9 @@ int main() {
 
   if (transforms::best_sv_kernels() == nullptr) {
     std::cout << "  sv microkernels     : no SIMD table on this build/CPU — "
-                 "autovec is the best kernel, check 7 skipped\n";
+                 "autovec is the best kernel, check 6 skipped\n";
   } else {
-    // Check 7: the single-vector microkernel path must actually beat the
+    // Check 6: the single-vector microkernel path must actually beat the
     // forced-autovec loops on the bare banded apply.  The threshold is
     // deliberately tolerant (measured ~1.7x on AVX-512; required 1.15x) so
     // only a dispatch regression — not machine noise — can trip it.

@@ -52,25 +52,18 @@ SweepResult sweep_error_rates(const core::Landscape& landscape,
   SweepResult out;
   out.error_rates.assign(error_rates.begin(), error_rates.end());
 
-  // One scratch workspace and (optionally autotuned) plan serve the whole
-  // grid: the per-point operators change factors with p, not shape, so the
-  // solver temporaries and the tiling plan carry over from point to point.
+  // One scratch workspace serves the whole grid: the per-point operators
+  // change factors with p, not shape, so the solver temporaries carry over
+  // from point to point.
   core::Workspace workspace;
-  transforms::BlockedPlan plan = options.plan;
-  bool tuned = false;
 
   std::vector<double> previous, before_previous;
   for (double p : error_rates) {
     const auto model = core::MutationModel::uniform(nu, p);
     core::PlannedOperatorConfig config;
     config.engine = options.engine;
-    config.plan = plan;
-    config.autotune = options.autotune && !tuned;
+    config.plan = options.plan;
     const core::PlannedOperator op(model, landscape, config);
-    if (op.autotune_report().has_value()) {
-      plan = op.autotune_report()->best;
-      tuned = true;
-    }
     solvers::PowerOptions popts;
     popts.tolerance = options.tolerance;
     popts.max_iterations = options.max_iterations;

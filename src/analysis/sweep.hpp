@@ -39,11 +39,6 @@ struct SweepOptions {
   /// Tiling plan for the banded Fmmp kernel at every grid point.
   transforms::BlockedPlan plan;
 
-  /// Autotune the banded plan once, at the first grid point, and reuse the
-  /// winner for the rest of the sweep (the operator shape does not change
-  /// with p, only its factors).
-  bool autotune = false;
-
   /// Continuation strategy along the grid: each solve starts from the
   /// previous eigenvector (warm start), optionally secant-extrapolated one
   /// grid step forward — x(p_i) ~ 2 x(p_{i-1}) - x(p_{i-2}) — which tracks

@@ -34,7 +34,7 @@ class FmmpOperator final : public LinearOperator {
   /// also outlive the operator and selects the parallel path; `kernel`
   /// picks between the banded kernel (default, diagonal scalings fused into
   /// the first/last band) and the per-level reference; `plan` tunes the
-  /// banded kernel's tiling (see transforms::autotune_blocked_plan).
+  /// banded kernel's tiling (see transforms::BlockedPlan).
   FmmpOperator(MutationModel model, const Landscape& landscape,
                Formulation formulation = Formulation::right,
                const parallel::Engine* engine = nullptr,

@@ -2,13 +2,12 @@
 //
 // Before this layer every call site that wanted the fast product assembled
 // the pieces itself: construct an FmmpOperator, thread a BlockedPlan through,
-// optionally run the autotuner, and allocate its own scratch.  A
-// PlannedOperator owns all of it in one object:
+// and allocate its own scratch.  A PlannedOperator owns all of it in one
+// object:
 //
 //   * the FmmpOperator (model copy + landscape reference + formulation),
-//   * the banded/panel butterfly tiling plan — either the caller's fixed
-//     plan or the result of running transforms::autotune_blocked_plan at
-//     construction (the report is retained for observability),
+//   * the banded/panel butterfly tiling plan (the fixed default unless the
+//     caller passes another),
 //   * a preallocated scratch Workspace shared with the solver loops, so the
 //     per-iteration hot path performs zero heap allocations.
 //
@@ -18,12 +17,10 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/fmmp.hpp"
 #include "core/workspace.hpp"
 #include "obs/trace.hpp"
-#include "transforms/plan_autotune.hpp"
 
 namespace qs::core {
 
@@ -40,28 +37,16 @@ struct PlannedOperatorConfig {
   transforms::LevelOrder order = transforms::LevelOrder::ascending;
   EngineKernel kernel = EngineKernel::blocked;
 
-  /// Starting tiling plan (the hand-tuned default unless overridden).
+  /// Tiling plan (the hand-tuned default unless overridden).
   transforms::BlockedPlan plan;
-
-  /// Measure a candidate grid at this problem size during construction and
-  /// adopt the fastest plan (never slower than `plan` up to timing noise);
-  /// the full report is retained (see autotune_report()).
-  bool autotune = false;
-
-  /// Panel width the autotuner should optimise for (m = 1 tunes the
-  /// single-vector banded kernel); only used when autotune is set.
-  std::size_t autotune_panel_width = 1;
 };
 
-/// Implicit fast product with W that owns its plan, autotune result, and
-/// scratch workspace.
+/// Implicit fast product with W that owns its plan and scratch workspace.
 class PlannedOperator final : public LinearOperator {
  public:
   /// Builds the operator.  `model` is copied (it is small); `landscape` is
   /// referenced and must outlive the operator, as must `config.engine` when
-  /// non-null.  With config.autotune set the constructor runs the plan
-  /// autotuner once (a few dozen banded matvecs) before building the
-  /// underlying FmmpOperator with the winning plan.
+  /// non-null.
   PlannedOperator(MutationModel model, const Landscape& landscape,
                   const PlannedOperatorConfig& config = {});
 
@@ -84,14 +69,8 @@ class PlannedOperator final : public LinearOperator {
   /// type, e.g. the block solver's formulation check).
   const FmmpOperator& fmmp() const { return *op_; }
 
-  /// The plan the operator executes with (the autotuned one when autotune
-  /// was requested and detection/measurement succeeded).
+  /// The plan the operator executes with.
   const transforms::BlockedPlan& plan() const { return op_->plan(); }
-
-  /// The autotune measurements, when config.autotune was set.
-  const std::optional<transforms::AutotuneReport>& autotune_report() const {
-    return report_;
-  }
 
   /// The scratch arena solver loops draw their temporaries from.  Mutable
   /// through a const operator: scratch contents are not part of the
@@ -99,7 +78,6 @@ class PlannedOperator final : public LinearOperator {
   Workspace& workspace() const { return workspace_; }
 
  private:
-  std::optional<transforms::AutotuneReport> report_;
   std::unique_ptr<FmmpOperator> op_;
   mutable Workspace workspace_;
 };

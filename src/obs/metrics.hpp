@@ -8,10 +8,10 @@
 // are aggregated from the span rings and are empty when tracing is
 // compiled out; info/values/residual-tail are populated either way.
 //
-// Provenance keys (set by PlannedOperator when it resolves its plan):
+// Provenance keys (set by PlannedOperator when it is built):
 //   simd_tier        — runtime-dispatched microkernel tier (autovec/avx2/avx512)
-//   plan.tile_log2   — autotuned or default blocked-plan tile size
-//   plan.chunk_log2  — autotuned or default panel chunk size
+//   plan.tile_log2   — blocked-plan tile size
+//   plan.chunk_log2  — panel chunk size
 // These pin down why two hosts produce different BENCH_fig2.json rows.
 #pragma once
 

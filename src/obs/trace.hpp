@@ -47,7 +47,6 @@ enum class Category : std::uint8_t {
   engine,       ///< dispatch regions, per-worker lanes, reductions
   solver,       ///< iteration driver events, solver cycles
   checkpoint,   ///< checkpoint writes / restores
-  autotune,     ///< plan measurement
   distributed,  ///< block-exchange supersteps, allreduces
   facade,       ///< degradation / restart decisions
   app,          ///< CLI-level phases
@@ -59,7 +58,6 @@ constexpr const char* to_string(Category c) {
     case Category::engine: return "engine";
     case Category::solver: return "solver";
     case Category::checkpoint: return "checkpoint";
-    case Category::autotune: return "autotune";
     case Category::distributed: return "distributed";
     case Category::facade: return "facade";
     case Category::app: return "app";

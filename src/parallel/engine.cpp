@@ -2,9 +2,12 @@
 
 #include <algorithm>
 
-#include "parallel/openmp_backend.hpp"
 #include "parallel/serial_backend.hpp"
 #include "parallel/thread_pool_backend.hpp"
+
+#if defined(QS_HAVE_OPENMP)
+#include "parallel/openmp_backend.hpp"
+#endif
 
 namespace qs::parallel {
 
@@ -35,7 +38,11 @@ PairSum Engine::reduce_pair(std::size_t n, const PairKernel& kernel) const {
 std::unique_ptr<Engine> make_engine(Backend kind) {
   switch (kind) {
     case Backend::openmp:
+#if defined(QS_HAVE_OPENMP)
       return std::make_unique<OpenMPBackend>();
+#else
+      return std::make_unique<SerialBackend>();
+#endif
     case Backend::thread_pool:
       return std::make_unique<ThreadPoolBackend>();
     case Backend::serial:
@@ -50,8 +57,12 @@ const Engine& serial_engine() {
 }
 
 const Engine& parallel_engine() {
+#if defined(QS_HAVE_OPENMP)
   static const OpenMPBackend instance;
   return instance;
+#else
+  return serial_engine();
+#endif
 }
 
 }  // namespace qs::parallel

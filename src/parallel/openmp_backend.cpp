@@ -5,17 +5,12 @@
 #include <exception>
 #include <mutex>
 
+#include <omp.h>
+
 #include "obs/trace.hpp"
 #include "support/contracts.hpp"
 
-#if defined(QS_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace qs::parallel {
-
-#if defined(QS_HAVE_OPENMP)
-
 namespace {
 
 /// First-exception capture for kernel bodies running inside an OpenMP
@@ -135,48 +130,5 @@ double OpenMPBackend::reduce_partials(std::size_t n, const PartialKernel& kernel
   error.rethrow_if_set();
   return acc;
 }
-
-#else  // !QS_HAVE_OPENMP — degrade gracefully to the serial implementation.
-
-std::string_view OpenMPBackend::name() const { return "serial"; }
-
-unsigned OpenMPBackend::concurrency() const { return 1; }
-
-void OpenMPBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
-  if (n == 0) return;
-  kernel(0, n);
-}
-
-double OpenMPBackend::reduce_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += x;
-  return acc;
-}
-
-double OpenMPBackend::reduce_abs_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += std::abs(x);
-  return acc;
-}
-
-double OpenMPBackend::reduce_sum_squares(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return acc;
-}
-
-double OpenMPBackend::reduce_dot(std::span<const double> a,
-                                 std::span<const double> b) const {
-  require(a.size() == b.size(), "reduce_dot: dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double OpenMPBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {
-  return n == 0 ? 0.0 : kernel(0, n);
-}
-
-#endif
 
 }  // namespace qs::parallel

@@ -34,7 +34,7 @@ unsigned ThreadPoolBackend::concurrency() const { return worker_count_ + 1; }
 void ThreadPoolBackend::worker_loop(unsigned index) {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(unsigned)>* task = nullptr;
+    const LaneTask* task = nullptr;
     {
       std::unique_lock lock(mutex_);
       wake_.wait(lock, [&] {
@@ -52,7 +52,7 @@ void ThreadPoolBackend::worker_loop(unsigned index) {
   }
 }
 
-void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) const {
+void ThreadPoolBackend::run_on_all(LaneTask task) const {
   // Exception safety: a kernel body that throws on any lane must not kill
   // the process (an exception escaping a worker's thread function would
   // std::terminate) and must not skip the barrier (the calling thread
@@ -63,7 +63,7 @@ void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) co
   // lane is done with it before run_on_all returns.
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::function<void(unsigned)> guarded = [&](unsigned lane) {
+  const auto guard = [&](unsigned lane) {
     QS_TRACE_SPAN_ARG("engine.worker", engine, lane);
     try {
       task(lane);
@@ -72,6 +72,7 @@ void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) co
       if (!first_error) first_error = std::current_exception();
     }
   };
+  const LaneTask guarded = guard;
 
   if (worker_count_ == 0) {
     guarded(0);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -42,9 +41,14 @@ class ThreadPoolBackend final : public Engine {
   struct alignas(64) PaddedPartial {
     double value = 0.0;
   };
+  /// Per-lane task: a non-owning reference, so handing a lambda to the
+  /// workers never heap-allocates.  The barrier keeps the callee alive for
+  /// as long as any lane can call it.
+  using LaneTask = FunctionRef<void(unsigned)>;
+
   /// Runs `task(worker_index)` on every worker plus the calling thread and
   /// waits for completion (one generation of the barrier protocol).
-  void run_on_all(const std::function<void(unsigned)>& task) const;
+  void run_on_all(LaneTask task) const;
 
   void worker_loop(unsigned index);
 
@@ -52,7 +56,7 @@ class ThreadPoolBackend final : public Engine {
   mutable std::mutex mutex_;
   mutable std::condition_variable wake_;
   mutable std::condition_variable done_;
-  mutable const std::function<void(unsigned)>* current_task_ = nullptr;
+  mutable const LaneTask* current_task_ = nullptr;
   mutable std::uint64_t generation_ = 0;
   mutable unsigned remaining_ = 0;
   bool shutting_down_ = false;

@@ -62,7 +62,8 @@ struct BlockPowerOptions : IterationOptions {
   /// extractions the panel advances with plain re-orthonormalised products.
   unsigned ritz_every = 1;
 
-  /// Tiling plan for the banded kernels (see transforms/plan_autotune).
+  /// Tiling plan for the banded kernels (the hand-tuned default unless
+  /// overridden).
   transforms::BlockedPlan plan;
 };
 

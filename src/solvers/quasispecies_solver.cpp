@@ -39,15 +39,14 @@ QuasispeciesResult solve(const core::MutationModel& model,
   switch (options.matvec) {
     case MatvecKind::fmmp: {
       // The facade's fast path goes through the planned operator: it owns
-      // the (possibly autotuned) banded plan and the scratch workspace the
-      // solver loop below borrows, so repeated applies allocate nothing.
+      // the banded plan and the scratch workspace the solver loop below
+      // borrows, so repeated applies allocate nothing.
       core::PlannedOperatorConfig config;
       config.formulation = options.formulation;
       config.engine = options.engine;
       config.order = options.level_order;
       config.kernel = core::EngineKernel::blocked;
       config.plan = options.plan;
-      config.autotune = options.autotune;
       auto owned = std::make_unique<core::PlannedOperator>(model, landscape, config);
       planned = owned.get();
       op = std::move(owned);

@@ -50,15 +50,9 @@ struct SolveOptions : IterationOptions {
   bool use_shift = true;          ///< Apply mu = (1-2p)^nu f_min when possible.
   transforms::LevelOrder level_order = transforms::LevelOrder::ascending;
 
-  /// Tiling plan for the banded Fmmp kernel (see transforms/plan_autotune;
-  /// the defaults are the hand-tuned fixed plan).  Other matvec kinds
-  /// ignore it.
+  /// Tiling plan for the banded Fmmp kernel (the defaults are the
+  /// hand-tuned fixed plan).  Other matvec kinds ignore it.
   transforms::BlockedPlan plan;
-
-  /// Autotune the banded Fmmp plan for this machine before the solve
-  /// (matvec == fmmp only): the facade's core::PlannedOperator then owns the
-  /// winning plan and its report.  `plan` seeds the candidate set.
-  bool autotune = false;
 
   /// Resume a previous run: start from this checkpoint instead of the
   /// landscape start (the caller keeps ownership; see io::load_checkpoint).

@@ -12,8 +12,8 @@
 //     separates barrier cost from kernel cost in a trace.
 //
 // best_of_seconds() is the one benchmark timing idiom (best-of-N wall
-// time); bench/bench_common.hpp and transforms/plan_autotune.cpp both
-// delegate to it instead of rolling their own chrono loops.
+// time); bench/bench_common.hpp delegates to it instead of rolling its
+// own chrono loop.
 #pragma once
 
 #include <chrono>

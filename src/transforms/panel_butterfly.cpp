@@ -43,8 +43,8 @@ constexpr unsigned kSubTileLog2 = 12;
 /// Middle-stage block size (log2 doubles) for oversized tiles: 2^17
 /// doubles = 1 MiB, sized to a typical L2.  A default-plan panel tile is
 /// at most this big already (panel_plan shrinks the tile as m grows), so
-/// the middle stage only activates for custom or autotuned plans whose
-/// tile * m outgrows L2 — there it keeps all but the top tile levels
+/// the middle stage only activates for custom plans whose tile * m
+/// outgrows L2 — there it keeps all but the top tile levels
 /// L2-resident instead of sweeping them repeatedly at L3/DRAM speed.
 constexpr unsigned kMidTileLog2 = 17;
 

@@ -3,12 +3,13 @@
 // With a PlannedOperator supplying the scratch workspace, the power
 // iteration's steady-state loop — banded matvec, the paired Rayleigh and
 // residual/1-norm sums, the shifted normalisation — must perform zero heap
-// allocations per iteration, on the serial backend and on the threaded
-// parallel_engine().  The counting operator-new hooks in
-// alloc_hooks.cpp (linked into this binary only) make that measurable: the
-// test samples support::allocation_count() from the on_residual hook into a
-// preallocated array (the hook itself must not allocate either) and asserts
-// the counter is flat across the whole run after warm-up.
+// allocations per iteration, on the serial backend, on the threaded
+// parallel_engine() and on the thread pool.  The counting operator-new
+// hooks in alloc_hooks.cpp (linked into this binary only) make that
+// measurable: the test samples support::allocation_count() from the
+// on_residual hook into a preallocated array (the hook itself must not
+// allocate either) and asserts the counter is flat across the whole run
+// after warm-up.
 
 #include <gtest/gtest.h>
 
@@ -41,10 +42,13 @@ TEST(AllocGuardTest, CountingHooksAreLinkedIntoThisBinary) {
 TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   const auto model = core::MutationModel::uniform(10, 0.01);
   const auto fitness = core::Landscape::random(10, 5.0, 1.0, 77);
-  // The default (serial) route, and the threaded engine running both the
-  // banded product and the loop's paired sums and normalise pass.
+  // The default (serial) route, and the threaded engines (OpenMP and the
+  // thread pool) running both the banded product and the loop's paired sums
+  // and normalise pass.
+  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
   for (const parallel::Engine* engine : {static_cast<const parallel::Engine*>(nullptr),
-                                         &parallel::parallel_engine()}) {
+                                         &parallel::parallel_engine(),
+                                         static_cast<const parallel::Engine*>(pool.get())}) {
     SCOPED_TRACE(engine != nullptr ? engine->name() : "default");
     core::PlannedOperatorConfig config;
     config.engine = engine;

@@ -1,12 +1,11 @@
 // Tests for core/planned_operator: the one-stop execution object that owns
-// the FmmpOperator, the tiling plan (fixed or autotuned), and the scratch
-// workspace the solver loops draw from.
+// the FmmpOperator, the tiling plan, and the scratch workspace the solver
+// loops draw from.
 //
 // The numerical contract is transparency: a PlannedOperator built with the
-// defaults computes bit-for-bit what a bare FmmpOperator computes, and the
-// autotuned variant computes bit-for-bit what a bare FmmpOperator with the
-// winning plan computes (the banded butterfly's arithmetic per element does
-// not depend on the tiling).
+// defaults computes bit-for-bit what a bare FmmpOperator computes, and one
+// built with any other fixed plan computes those same bits too (the banded
+// butterfly's arithmetic per element does not depend on the tiling).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +17,9 @@
 #include "core/mutation_model.hpp"
 #include "core/planned_operator.hpp"
 #include "core/workspace.hpp"
+#include "parallel/engine.hpp"
+#include "solvers/quasispecies_solver.hpp"
+#include "transforms/blocked_butterfly.hpp"
 
 namespace qs::core {
 namespace {
@@ -46,7 +48,6 @@ TEST(PlannedOperatorTest, DefaultApplyMatchesABareFmmpOperatorBitForBit) {
   bare.apply(x, y_bare);
 
   ASSERT_EQ(y_planned, y_bare);
-  EXPECT_FALSE(planned.autotune_report().has_value());
 }
 
 TEST(PlannedOperatorTest, SymmetricPanelApplyMatchesBitForBit) {
@@ -68,30 +69,68 @@ TEST(PlannedOperatorTest, SymmetricPanelApplyMatchesBitForBit) {
   ASSERT_EQ(y_planned, y_bare);
 }
 
-TEST(PlannedOperatorTest, AutotuneRetainsTheReportAndStaysTransparent) {
-  const auto model = test_model();
-  const auto fitness = test_landscape();
+/// A small non-default plan: at nu = 12 it splits the butterfly into several
+/// bands where the default plan needs two, and it caps the fused radix.
+transforms::BlockedPlan small_plan() {
+  transforms::BlockedPlan plan;
+  plan.tile_log2 = 5;
+  plan.chunk_log2 = 2;
+  plan.sv_max_radix = 4;
+  return plan;
+}
+
+TEST(PlannedOperatorTest, AnyFixedPlanGivesTheSameBits) {
+  const unsigned nu = 12;
+  const auto model = MutationModel::uniform(nu, 0.02);
+  const auto fitness = Landscape::random(nu, 4.0, 1.0, 11);
+  const auto plan = small_plan();
+  ASSERT_GT(transforms::blocked_band_boundaries(nu, plan).size(),
+            transforms::blocked_band_boundaries(nu, {}).size());
+
   PlannedOperatorConfig config;
-  config.autotune = true;
+  config.plan = plan;
   const PlannedOperator planned(model, fitness, config);
-
-  ASSERT_TRUE(planned.autotune_report().has_value());
-  const auto& report = *planned.autotune_report();
-  ASSERT_FALSE(report.timings.empty());
-  EXPECT_EQ(planned.plan().tile_log2, report.best.tile_log2);
-  EXPECT_EQ(planned.plan().chunk_log2, report.best.chunk_log2);
-
-  // Whatever plan won, the product is the same arithmetic: a bare operator
-  // handed the winning plan computes identical bits.
-  const FmmpOperator bare(model, fitness, Formulation::right, nullptr,
+  EXPECT_EQ(planned.plan().tile_log2, plan.tile_log2);
+  EXPECT_EQ(planned.plan().chunk_log2, plan.chunk_log2);
+  EXPECT_EQ(planned.plan().sv_max_radix, plan.sv_max_radix);
+  const PlannedOperator default_planned(model, fitness);
+  const FmmpOperator bare(model, fitness, Formulation::right,
+                          &parallel::serial_engine(),
                           transforms::LevelOrder::ascending,
-                          EngineKernel::blocked, planned.plan());
+                          EngineKernel::blocked, plan);
+
   const std::size_t n = static_cast<std::size_t>(planned.dimension());
   const auto x = test_vector(n);
-  std::vector<double> y_planned(n), y_bare(n);
+  std::vector<double> y_planned(n), y_bare(n), y_default(n);
   planned.apply(x, y_planned);
   bare.apply(x, y_bare);
+  default_planned.apply(x, y_default);
   ASSERT_EQ(y_planned, y_bare);
+  ASSERT_EQ(y_planned, y_default);
+
+  const std::size_t m = 4;
+  const auto xp = test_vector(n, m);
+  std::vector<double> yp_planned(n * m), yp_bare(n * m), yp_default(n * m);
+  planned.apply_panel(xp, yp_planned, m);
+  bare.apply_panel(xp, yp_bare, m);
+  default_planned.apply_panel(xp, yp_default, m);
+  ASSERT_EQ(yp_planned, yp_bare);
+  ASSERT_EQ(yp_planned, yp_default);
+}
+
+TEST(PlannedOperatorTest, AnyFixedPlanSolvesToTheSameBits) {
+  const unsigned nu = 12;
+  const auto model = MutationModel::uniform(nu, 0.01);
+  const auto fitness = Landscape::random(nu, 4.0, 1.0, 11);
+  solvers::SolveOptions defaults, planned;
+  planned.plan = small_plan();
+  const auto a = solvers::solve(model, fitness, defaults);
+  const auto b = solvers::solve(model, fitness, planned);
+  ASSERT_TRUE(a.converged);
+  ASSERT_TRUE(b.converged);
+  EXPECT_EQ(a.eigenvalue, b.eigenvalue);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.class_concentrations, b.class_concentrations);
 }
 
 TEST(PlannedOperatorTest, WorkspaceSlotsAreStableAndGrowOnly) {

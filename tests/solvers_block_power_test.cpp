@@ -1,7 +1,6 @@
-// Block subspace iteration, plan autotuning, and landscape-family solves:
-// Ritz pairs must agree with the dense spectrum and with the one-at-a-time
-// deflation baseline on the paper's landscapes, the autotuner must return a
-// valid measured plan (default included), and the batched family solve must
+// Block subspace iteration and landscape-family solves: Ritz pairs must
+// agree with the dense spectrum and with the one-at-a-time deflation
+// baseline on the paper's landscapes, and the batched family solve must
 // reproduce the per-landscape facade results.
 #include "solvers/block_power.hpp"
 
@@ -18,7 +17,6 @@
 #include "parallel/engine.hpp"
 #include "solvers/deflation.hpp"
 #include "solvers/quasispecies_solver.hpp"
-#include "transforms/plan_autotune.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -121,59 +119,6 @@ TEST(BlockPower, GuardColumnsAcceleratedWidthStillCorrect) {
   ASSERT_TRUE(b.converged);
   EXPECT_NEAR(a.eigenvalues[0], b.eigenvalues[0], 1e-9 * a.eigenvalues[0]);
   EXPECT_NEAR(a.eigenvalues[1], b.eigenvalues[1], 1e-8 * a.eigenvalues[0]);
-}
-
-TEST(PlanAutotune, HeuristicPlanIsAlwaysValid) {
-  const auto caches = transforms::detect_cache_hierarchy();
-  for (std::size_t m : {1ul, 4ul, 8ul}) {
-    const auto plan = transforms::cache_heuristic_plan(caches, m);
-    EXPECT_GT(plan.tile_log2, plan.chunk_log2);
-    EXPECT_GE(plan.tile_log2, 4u);
-    EXPECT_LE(plan.tile_log2, 20u);
-  }
-  // Undetected hierarchy falls back to the defaults.
-  const auto fallback = transforms::cache_heuristic_plan(transforms::CacheHierarchy{});
-  EXPECT_EQ(fallback.tile_log2, transforms::BlockedPlan{}.tile_log2);
-  EXPECT_EQ(fallback.chunk_log2, transforms::BlockedPlan{}.chunk_log2);
-}
-
-TEST(PlanAutotune, ReportMeasuresDefaultFirstAndPicksNoSlowerPlan) {
-  const auto report = transforms::autotune_blocked_plan(
-      12, parallel::serial_engine(), 1, 1);
-  ASSERT_GE(report.timings.size(), 2u);
-  const transforms::BlockedPlan def{};
-  EXPECT_EQ(report.timings.front().plan.tile_log2, def.tile_log2);
-  EXPECT_EQ(report.timings.front().plan.chunk_log2, def.chunk_log2);
-  // The chosen plan's measured time is <= the default's measured time.
-  // Match on the full plan identity: the stage-2 microkernel sweep re-lists
-  // the winning tile/chunk with different sv_kernel/sv_max_radix settings.
-  double best_seconds = -1.0;
-  for (const auto& t : report.timings) {
-    if (t.plan.tile_log2 == report.best.tile_log2 &&
-        t.plan.chunk_log2 == report.best.chunk_log2 &&
-        t.plan.sv_kernel == report.best.sv_kernel &&
-        t.plan.sv_max_radix == report.best.sv_max_radix) {
-      best_seconds = t.seconds;
-    }
-    EXPECT_GT(t.seconds, 0.0);
-  }
-  ASSERT_GE(best_seconds, 0.0) << "best plan not among the measured candidates";
-  EXPECT_LE(best_seconds, report.timings.front().seconds);
-}
-
-TEST(PlanAutotune, TunedPlanSolvesToTheSameEigenpair) {
-  const unsigned nu = 10;
-  const auto model = core::MutationModel::uniform(nu, 0.01);
-  const auto landscape = core::Landscape::single_peak(nu, 2.0, 1.0);
-  const auto report = transforms::autotune_blocked_plan(
-      nu, parallel::serial_engine(), 1, 1);
-  SolveOptions defaults, tuned;
-  tuned.plan = report.best;
-  const auto a = solve(model, landscape, defaults);
-  const auto b = solve(model, landscape, tuned);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  EXPECT_NEAR(a.eigenvalue, b.eigenvalue, 1e-12 * a.eigenvalue);
 }
 
 TEST(LandscapeFamily, BatchedSolveMatchesPerLandscapeFacade) {

@@ -17,7 +17,9 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
+#include <string_view>
 
 #include "quasispecies.hpp"
 #include "support/args.hpp"
@@ -59,10 +61,6 @@ void print_usage() {
       "                      subspace iteration on the banded *panel* kernel\n"
       "                      (one memory sweep advances all K vectors; the\n"
       "                      dominant pair is reported as the solution)\n"
-      "  --autotune          measure a grid of banded-kernel tiling plans at\n"
-      "                      this problem size (seeded by the detected cache\n"
-      "                      hierarchy) and solve with the fastest; never\n"
-      "                      slower than the fixed default plan\n"
       "  --tile-log2 T       banded kernel tile size override (default 14)\n"
       "  --chunk-log2 C      banded kernel chunk size override (default 6)\n"
       "  --csv FILE          write species concentrations as CSV\n"
@@ -105,6 +103,24 @@ void print_usage() {
 struct CliError {
   std::string message;
 };
+
+/// Every option run() reads.  Anything else on the command line is a typo
+/// or a flag this build does not have, and is refused rather than ignored.
+constexpr std::string_view kKnownOptions[] = {
+    "block-size", "c", "checkpoint", "checkpoint-every", "checkpoint-every-seconds",
+    "chunk-log2", "classes-csv", "csv", "dmax", "exchange", "f0", "fnu", "help", "input",
+    "landscape", "metrics", "no-recover", "no-shift", "nu", "p", "parallel", "peak",
+    "ranks", "reduced", "rest", "resume", "save-landscape", "seed", "sigma", "solver",
+    "tile-log2", "tolerance", "top", "trace-json"};
+
+void reject_unknown_options(const qs::ArgParser& args) {
+  for (const std::string& name : args.provided_options()) {
+    if (std::find(std::begin(kKnownOptions), std::end(kKnownOptions), name) ==
+        std::end(kKnownOptions)) {
+      throw CliError{"unknown option --" + name + " (try --help)"};
+    }
+  }
+}
 
 /// Thrown when SIGINT/SIGTERM stopped the solve at an iteration boundary:
 /// the driver has already flushed a final checkpoint (when --checkpoint is
@@ -275,6 +291,7 @@ void write_classes_csv(const std::string& path, std::span<const double> classes)
 }
 
 int run(const qs::ArgParser& args) {
+  reject_unknown_options(args);
   if (args.has("help")) {
     print_usage();
     return 0;
@@ -352,22 +369,6 @@ int run(const qs::ArgParser& args) {
   }
   if (args.has("chunk-log2")) {
     plan.chunk_log2 = static_cast<unsigned>(args.get_long("chunk-log2", 6, 1, 20));
-  }
-  if (args.has("autotune")) {
-    const auto report = qs::transforms::autotune_blocked_plan(
-        nu, engine != nullptr ? *engine : qs::parallel::serial_engine());
-    plan = report.best;
-    std::cout << "autotuned plan: tile_log2 = " << plan.tile_log2
-              << ", chunk_log2 = " << plan.chunk_log2 << ", sv kernel = "
-              << qs::transforms::resolved_sv_kernel_name(plan.sv_kernel)
-              << " (max radix " << plan.sv_max_radix << "; "
-              << report.timings.size() << " candidates, default "
-              << report.timings.front().seconds << " s/matvec)\n";
-    if (plan.sv_kernel == qs::transforms::SvKernel::autovec) {
-      std::cout << "note: the plain autovec loops beat every SIMD "
-                   "single-vector candidate on this host, so the tuned plan "
-                   "keeps the microkernel dispatch off\n";
-    }
   }
 
   double eigenvalue = 0.0;
