@@ -10,7 +10,9 @@
 
 #include "core/fmmp.hpp"
 #include "core/xmvp.hpp"
+#include "distributed/reduction.hpp"
 #include "parallel/engine.hpp"
+#include "solvers/power_iteration.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
@@ -290,6 +292,19 @@ void BM_EngineReduceSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineReduceSum)->DenseRange(14, 22, 4);
+
+// The tree-ordered Rayleigh pair {x·x, x·y} a distributed rank sums on its
+// block every iteration (ν = 20 is a 4-rank block at ν = 22).
+void BM_TreeReducePair(benchmark::State& state) {
+  const std::size_t n = std::size_t{1} << state.range(0);
+  const auto x = random_vector(n, 9);
+  const auto y = random_vector(n, 10);
+  const qs::solvers::RayleighTerm term{x.data(), y.data()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qs::distributed::tree_reduce_pair(0, n, term));
+  }
+}
+BENCHMARK(BM_TreeReducePair)->Arg(16)->Arg(20)->Arg(22);
 
 // Thread-pool reduction throughput (per-lane partials are padded to cache
 // lines; compare against BM_ReduceSlotsAdjacent for the false-sharing cost).

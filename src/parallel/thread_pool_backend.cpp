@@ -14,6 +14,7 @@ ThreadPoolBackend::ThreadPoolBackend(unsigned threads) {
   if (total == 0) total = 1;
   // The calling thread participates in every dispatch, so spawn one fewer.
   worker_count_ = total - 1;
+  partials_.resize(total);
   workers_.reserve(worker_count_);
   for (unsigned i = 0; i < worker_count_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -109,15 +110,14 @@ double ThreadPoolBackend::reduce_partials(std::size_t n, const PartialKernel& ke
   if (n == 0) return 0.0;
   QS_TRACE_COUNTER("engine.reduce_partials", 1);
   const std::size_t lanes = concurrency();
-  std::vector<PaddedPartial> partial(lanes);
   const std::size_t chunk = (n + lanes - 1) / lanes;
   run_on_all([&](unsigned lane) {
     const std::size_t begin = std::min<std::size_t>(lane * chunk, n);
     const std::size_t end = std::min<std::size_t>(begin + chunk, n);
-    if (begin < end) partial[lane].value = kernel(begin, end);
+    partials_[lane].value = begin < end ? kernel(begin, end) : 0.0;
   });
   double total = 0.0;
-  for (const PaddedPartial& p : partial) total += p.value;
+  for (const PaddedPartial& p : partials_) total += p.value;
   return total;
 }
 

@@ -60,6 +60,11 @@ class ThreadPoolBackend final : public Engine {
   mutable std::uint64_t generation_ = 0;
   mutable unsigned remaining_ = 0;
   bool shutting_down_ = false;
+  /// reduce_partials' per-lane slots, sized once so a reduction never
+  /// allocates.  Like the barrier state above, they serve one call at a
+  /// time: each lane writes its own slot, and the caller reads them all
+  /// after the barrier.
+  mutable std::vector<PaddedPartial> partials_;
   std::vector<std::thread> workers_;
 };
 

@@ -4,7 +4,8 @@
 // iteration's steady-state loop — banded matvec, the paired Rayleigh and
 // residual/1-norm sums, the shifted normalisation — must perform zero heap
 // allocations per iteration, on the serial backend, on the threaded
-// parallel_engine() and on the thread pool.  The counting operator-new
+// parallel_engine(), on the thread pool and on the tree-order
+// tree_engine().  The counting operator-new
 // hooks in alloc_hooks.cpp (linked into this binary only) make that
 // measurable: the test samples support::allocation_count() from the
 // on_residual hook into a preallocated array (the hook itself must not
@@ -20,6 +21,7 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "core/planned_operator.hpp"
+#include "distributed/reduction.hpp"
 #include "obs/trace.hpp"
 #include "parallel/engine.hpp"
 #include "solvers/arnoldi.hpp"
@@ -42,13 +44,15 @@ TEST(AllocGuardTest, CountingHooksAreLinkedIntoThisBinary) {
 TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   const auto model = core::MutationModel::uniform(10, 0.01);
   const auto fitness = core::Landscape::random(10, 5.0, 1.0, 77);
-  // The default (serial) route, and the threaded engines (OpenMP and the
+  // The default (serial) route, the threaded engines (OpenMP and the
   // thread pool) running both the banded product and the loop's paired sums
-  // and normalise pass.
+  // and normalise pass, and tree_engine(), whose chunk buffers and merge
+  // stack must live on the stack.
   const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
   for (const parallel::Engine* engine : {static_cast<const parallel::Engine*>(nullptr),
                                          &parallel::parallel_engine(),
-                                         static_cast<const parallel::Engine*>(pool.get())}) {
+                                         static_cast<const parallel::Engine*>(pool.get()),
+                                         &distributed::tree_engine()}) {
     SCOPED_TRACE(engine != nullptr ? engine->name() : "default");
     core::PlannedOperatorConfig config;
     config.engine = engine;
@@ -80,6 +84,21 @@ TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
       EXPECT_EQ(samples[it], samples[1]) << "allocation during iteration " << it;
     }
   }
+}
+
+TEST(AllocGuardTest, ThreadPoolReductionsPerformZeroHeapAllocations) {
+  // The thread pool's per-lane partials are sized with the pool; the
+  // solvers outside the power loop (the sign sum, shift-invert) call these.
+  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const std::vector<double> v(std::size_t{1} << 16, 0.5);
+  double sink = pool->reduce_sum(v);  // warm-up: worker threads are running
+  const std::uint64_t before = support::allocation_count();
+  for (int rep = 0; rep < 100; ++rep) {
+    sink += pool->reduce_sum(v) + pool->reduce_abs_sum(v) +
+            pool->reduce_sum_squares(v) + pool->reduce_dot(v, v);
+  }
+  EXPECT_EQ(support::allocation_count(), before);
+  EXPECT_EQ(sink, (0.5 + 100 * 1.5) * static_cast<double>(v.size()));
 }
 
 // The Krylov cycle bodies DO allocate (the small dense Ritz eigensolve per
