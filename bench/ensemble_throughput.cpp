@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,11 +94,8 @@ int main() {
   const auto context_model = core::MutationModel::uniform(context_nu, 0.01);
   const auto context_landscape = core::Landscape::single_peak(context_nu, 2.0, 1.0);
 
-  const auto serial = parallel::make_engine(parallel::Backend::serial);
-  const auto openmp = parallel::make_engine(parallel::Backend::openmp);
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
   const std::vector<std::pair<const char*, const parallel::Engine*>> backends = {
-      {"serial", serial.get()}, {"openmp", openmp.get()}, {"thread-pool", pool.get()}};
+      {"serial", &parallel::serial_engine()}, {"openmp", &parallel::parallel_engine()}};
 
   std::cout << "ensemble throughput: nu = " << nu << ", R = " << options.replicas
             << " replicas, m = " << options.panel_width

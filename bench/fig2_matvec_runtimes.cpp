@@ -12,8 +12,8 @@
 // Engine columns: per-level launches one kernel per butterfly level (nu
 // sweeps + 2 scaling sweeps per matvec); blocked launches one kernel per
 // level *band* with the diagonal F-scalings fused into the first/last band
-// (~nu/B sweeps).  Expected: blocked strictly faster at nu >= 20 on both
-// the openmp and thread_pool backends.
+// (~nu/B sweeps).  Expected: blocked strictly faster at nu >= 20 on the
+// openmp backend.
 //
 // Panel columns: one banded product applied to an interleaved panel of m
 // vectors (FmmpOperator::apply_panel) vs m sequential single-vector blocked
@@ -71,8 +71,6 @@ struct Fig2Row {
   double serial_blocked_s = 0.0;
   double omp_level_s = 0.0;
   double omp_blocked_s = 0.0;
-  double pool_level_s = 0.0;
-  double pool_blocked_s = 0.0;
   std::vector<PanelPoint> panel;
 };
 
@@ -126,8 +124,6 @@ void write_json(const std::string& path, double p, unsigned max_nu,
         << "      \"fmmp_serial_blocked_s\": " << row.serial_blocked_s << ",\n"
         << "      \"fmmp_omp_level_s\": " << row.omp_level_s << ",\n"
         << "      \"fmmp_omp_blocked_s\": " << row.omp_blocked_s << ",\n"
-        << "      \"fmmp_pool_level_s\": " << row.pool_level_s << ",\n"
-        << "      \"fmmp_pool_blocked_s\": " << row.pool_blocked_s << ",\n"
         << "      \"panel\": [\n";
     for (std::size_t i = 0; i < row.panel.size(); ++i) {
       const PanelPoint& pt = row.panel[i];
@@ -154,13 +150,10 @@ int main() {
   const char* json_env = std::getenv("QS_BENCH_JSON");
   const std::string json_path = json_env != nullptr ? json_env : "BENCH_fig2.json";
 
-  const auto serial_engine = parallel::make_engine(parallel::Backend::serial);
-  const auto omp_engine = parallel::make_engine(parallel::Backend::openmp);
-  const auto pool_engine = parallel::make_engine(parallel::Backend::thread_pool);
+  const parallel::Engine* serial_engine = &parallel::serial_engine();
+  const parallel::Engine* omp_engine = &parallel::parallel_engine();
   const std::vector<std::pair<const char*, const parallel::Engine*>> backends = {
-      {"serial", serial_engine.get()},
-      {"openmp", omp_engine.get()},
-      {"thread_pool", pool_engine.get()}};
+      {"serial", serial_engine}, {"openmp", omp_engine}};
   const std::vector<std::size_t> widths = {2, 4, 8, 16, 32};
   // Widths whose interleaved xp/yp pair would not fit in this budget are
   // skipped (table shows "-"); on typical hosts everything up to m = 32 at
@@ -171,15 +164,13 @@ int main() {
             << "\n# series: Xmvp(nu) ~ Theta(N^2), Xmvp(1) ~ Theta(N nu), "
                "Fmmp ~ Theta(N log2 N)\n# engine columns: omp = '"
             << omp_engine->name() << "' x" << omp_engine->concurrency()
-            << ", pool = '" << pool_engine->name() << "' x"
-            << pool_engine->concurrency()
             << "; lvl = per-level Algorithm 2, blk = banded blocked kernel\n"
             << "# kernels: "
             << transforms::resolved_sv_kernel_name(transforms::SvKernel::automatic)
             << "\n\n";
 
   TextTable table({"nu", "N", "Xmvp(nu) [s]", "Xmvp(1) [s]", "Fmmp [s]",
-                   "omp lvl [s]", "omp blk [s]", "pool lvl [s]", "pool blk [s]",
+                   "omp lvl [s]", "omp blk [s]",
                    "Fmmp speedup vs Xmvp(nu)"});
   TextTable panel_table({"nu", "backend", "blk x1 [s]", "panel m=2 [s]",
                          "panel m=4 [s]", "panel m=8 [s]", "panel m=16 [s]",
@@ -187,8 +178,7 @@ int main() {
                          "per-vec m=8", "per-vec m=16", "per-vec m=32"});
   CsvWriter csv(std::cout);
   csv.header({"nu", "xmvp_full_s", "xmvp_full_extrapolated", "xmvp1_s", "fmmp_s",
-              "fmmp_omp_level_s", "fmmp_omp_blocked_s", "fmmp_pool_level_s",
-              "fmmp_pool_blocked_s"});
+              "fmmp_omp_level_s", "fmmp_omp_blocked_s"});
 
   std::vector<Fig2Row> rows;
   std::vector<double> quad_nus, quad_times;
@@ -212,11 +202,9 @@ int main() {
                                   transforms::LevelOrder::ascending, kernel);
       return bench::time_best_of(3, [&] { op.apply(x, y); });
     };
-    row.serial_blocked_s = time_engine(serial_engine.get(), core::EngineKernel::blocked);
-    row.omp_level_s = time_engine(omp_engine.get(), core::EngineKernel::per_level);
-    row.omp_blocked_s = time_engine(omp_engine.get(), core::EngineKernel::blocked);
-    row.pool_level_s = time_engine(pool_engine.get(), core::EngineKernel::per_level);
-    row.pool_blocked_s = time_engine(pool_engine.get(), core::EngineKernel::blocked);
+    row.serial_blocked_s = time_engine(serial_engine, core::EngineKernel::blocked);
+    row.omp_level_s = time_engine(omp_engine, core::EngineKernel::per_level);
+    row.omp_blocked_s = time_engine(omp_engine, core::EngineKernel::blocked);
 
     const core::XmvpOperator xmvp1(model, landscape, 1);
     row.xmvp1_s = bench::time_best_of(3, [&] { xmvp1.apply(x, y); });
@@ -285,12 +273,11 @@ int main() {
                        (row.xmvp_full_extrapolated ? "*" : ""),
                    format_short(row.xmvp1_s), format_short(row.fmmp_s),
                    format_short(row.omp_level_s), format_short(row.omp_blocked_s),
-                   format_short(row.pool_level_s), format_short(row.pool_blocked_s),
                    format_short(row.xmvp_full_s / row.fmmp_s)});
     csv.row().cell(std::size_t{nu}).cell(row.xmvp_full_s)
         .cell(std::string(row.xmvp_full_extrapolated ? "1" : "0"))
         .cell(row.xmvp1_s).cell(row.fmmp_s).cell(row.omp_level_s)
-        .cell(row.omp_blocked_s).cell(row.pool_level_s).cell(row.pool_blocked_s);
+        .cell(row.omp_blocked_s);
     csv.end_row();
     rows.push_back(std::move(row));
   }

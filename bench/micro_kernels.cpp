@@ -306,23 +306,11 @@ void BM_TreeReducePair(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeReducePair)->Arg(16)->Arg(20)->Arg(22);
 
-// Thread-pool reduction throughput (per-lane partials are padded to cache
-// lines; compare against BM_ReduceSlotsAdjacent for the false-sharing cost).
-void BM_ThreadPoolReduceSum(benchmark::State& state) {
-  const std::size_t n = std::size_t{1} << state.range(0);
-  const auto v = random_vector(n, 8);
-  const auto pool = qs::parallel::make_engine(qs::parallel::Backend::thread_pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool->reduce_sum(v));
-  }
-}
-BENCHMARK(BM_ThreadPoolReduceSum)->DenseRange(14, 22, 4);
-
 // The false-sharing datapoint: per-lane accumulator slots that are adjacent
-// doubles (the pre-fix layout of ThreadPoolBackend::reduce_*, one shared
-// cache line ping-ponging between cores) vs slots padded to one cache line
-// each.  Each lane accumulates element-wise straight into its slot so the
-// line stays contended for the whole reduction.
+// doubles (one shared cache line ping-ponging between cores) vs slots padded
+// to one cache line each, the layout of Engine::reduce_pair's alignas(64)
+// block partials.  Each lane accumulates element-wise straight into its
+// slot so the line stays contended for the whole reduction.
 template <typename Slot>
 void reduce_into_slots(const qs::parallel::Engine& engine,
                        const std::vector<double>& v, std::vector<Slot>& slots) {
@@ -347,10 +335,10 @@ struct alignas(64) PaddedSlot {
 
 void BM_ReduceSlotsAdjacent(benchmark::State& state) {
   const auto v = random_vector(std::size_t{1} << state.range(0), 9);
-  const auto pool = qs::parallel::make_engine(qs::parallel::Backend::thread_pool);
-  std::vector<AdjacentSlot> slots(pool->concurrency());
+  const qs::parallel::Engine& engine = qs::parallel::parallel_engine();
+  std::vector<AdjacentSlot> slots(engine.concurrency());
   for (auto _ : state) {
-    reduce_into_slots(*pool, v, slots);
+    reduce_into_slots(engine, v, slots);
     benchmark::DoNotOptimize(slots.data());
   }
 }
@@ -358,10 +346,10 @@ BENCHMARK(BM_ReduceSlotsAdjacent)->DenseRange(18, 22, 4);
 
 void BM_ReduceSlotsPadded(benchmark::State& state) {
   const auto v = random_vector(std::size_t{1} << state.range(0), 9);
-  const auto pool = qs::parallel::make_engine(qs::parallel::Backend::thread_pool);
-  std::vector<PaddedSlot> slots(pool->concurrency());
+  const qs::parallel::Engine& engine = qs::parallel::parallel_engine();
+  std::vector<PaddedSlot> slots(engine.concurrency());
   for (auto _ : state) {
-    reduce_into_slots(*pool, v, slots);
+    reduce_into_slots(engine, v, slots);
     benchmark::DoNotOptimize(slots.data());
   }
 }

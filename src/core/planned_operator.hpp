@@ -11,8 +11,8 @@
 //   * a preallocated scratch Workspace shared with the solver loops, so the
 //     per-iteration hot path performs zero heap allocations.
 //
-// `apply` / `apply_panel` route through the owned plan on every backend
-// (serial, openmp, thread_pool).  The facade, qs_solve/qs_sweep, the block
+// `apply` / `apply_panel` route through the owned plan on every engine
+// (serial, openmp).  The facade, qs_solve/qs_sweep, the block
 // solver, and the benches all build their operator through this class.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "parallel/serial_backend.hpp"
-#include "parallel/thread_pool_backend.hpp"
 
 #if defined(QS_HAVE_OPENMP)
 #include "parallel/openmp_backend.hpp"
@@ -33,22 +32,6 @@ PairSum Engine::reduce_pair(std::size_t n, const PairKernel& kernel) const {
     total[1] += partial[b].sum[1];
   }
   return total;
-}
-
-std::unique_ptr<Engine> make_engine(Backend kind) {
-  switch (kind) {
-    case Backend::openmp:
-#if defined(QS_HAVE_OPENMP)
-      return std::make_unique<OpenMPBackend>();
-#else
-      return std::make_unique<SerialBackend>();
-#endif
-    case Backend::thread_pool:
-      return std::make_unique<ThreadPoolBackend>();
-    case Backend::serial:
-    default:
-      return std::make_unique<SerialBackend>();
-  }
 }
 
 const Engine& serial_engine() {

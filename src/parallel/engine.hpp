@@ -9,7 +9,8 @@
 // reductions cover the norm/residual computations the power iteration needs
 // between products.  Backends: a serial one (the "single CPU core" reference
 // of the paper's Figure 2) and an OpenMP one (the "parallel hardware" axis
-// of Figure 4).  See DESIGN.md, "Substitutions".
+// of Figure 4); the tests add a threaded one TSan can see
+// (testing/threaded_test_engine.hpp).  See DESIGN.md, "Substitutions".
 #pragma once
 
 #include <array>
@@ -131,19 +132,6 @@ class Engine {
   /// live on the stack, so the call never allocates).
   static constexpr std::size_t kMaxPairBlocks = 64;
 };
-
-/// Available backend kinds.
-enum class Backend {
-  serial,
-  openmp,
-  thread_pool,
-};
-
-/// Creates a fresh engine of the given kind. The OpenMP kind degrades to a
-/// serial engine (with name "serial") when the library was built without
-/// OpenMP support; the thread-pool kind is always genuinely multi-threaded
-/// (std::thread only).
-std::unique_ptr<Engine> make_engine(Backend kind);
 
 /// Process-lifetime serial engine (always available).
 const Engine& serial_engine();

@@ -3,8 +3,8 @@
 // into per-thread chunks exactly as an OpenCL runtime partitions a 1-D
 // NDRange into work groups; the implicit barrier at the end of the parallel
 // region plays the role of the inter-kernel synchronisation between
-// butterfly levels.  Built only when OpenMP is found; without it the
-// openmp backend kind is the serial engine (see make_engine).
+// butterfly levels.  Built only when OpenMP is found; without it
+// parallel_engine() is the serial engine.
 #pragma once
 
 #include "parallel/engine.hpp"

@@ -1,5 +1,6 @@
 #include "support/args.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "support/contracts.hpp"
@@ -64,11 +65,12 @@ long ArgParser::get_long(const std::string& name, long fallback, long lo,
   return value;
 }
 
-std::vector<std::string> ArgParser::provided_options() const {
-  std::vector<std::string> names;
-  names.reserve(options_.size());
-  for (const auto& [name, value] : options_) names.push_back(name);
-  return names;
+std::optional<std::string> ArgParser::unknown_option(
+    std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) return name;
+  }
+  return std::nullopt;
 }
 
 }  // namespace qs

@@ -7,7 +7,9 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qs {
@@ -37,8 +39,11 @@ class ArgParser {
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of all options that were provided (for unknown-option checks).
-  std::vector<std::string> provided_options() const;
+  /// The first provided option (in name order) that is not in `known`: a
+  /// typo or a flag the tool does not have, which the tools refuse rather
+  /// than ignore.  Empty when every provided option is known.
+  std::optional<std::string> unknown_option(
+      std::span<const std::string_view> known) const;
 
  private:
   std::string program_;

@@ -4,9 +4,8 @@
 // iteration's steady-state loop — banded matvec, the paired Rayleigh and
 // residual/1-norm sums, the shifted normalisation — must perform zero heap
 // allocations per iteration, on the serial backend, on the threaded
-// parallel_engine(), on the thread pool and on the tree-order
-// tree_engine().  The counting operator-new
-// hooks in alloc_hooks.cpp (linked into this binary only) make that
+// parallel_engine() and on the tree-order tree_engine().  The counting
+// operator-new hooks in alloc_hooks.cpp (linked into this binary only) make that
 // measurable: the test samples support::allocation_count() from the
 // on_residual hook into a preallocated array (the hook itself must not
 // allocate either) and asserts the counter is flat across the whole run
@@ -44,14 +43,12 @@ TEST(AllocGuardTest, CountingHooksAreLinkedIntoThisBinary) {
 TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   const auto model = core::MutationModel::uniform(10, 0.01);
   const auto fitness = core::Landscape::random(10, 5.0, 1.0, 77);
-  // The default (serial) route, the threaded engines (OpenMP and the
-  // thread pool) running both the banded product and the loop's paired sums
-  // and normalise pass, and tree_engine(), whose chunk buffers and merge
-  // stack must live on the stack.
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  // The default (serial) route, the threaded parallel_engine() running
+  // both the banded product and the loop's paired sums and normalise pass,
+  // and tree_engine(), whose chunk buffers and merge stack must live on the
+  // stack.
   for (const parallel::Engine* engine : {static_cast<const parallel::Engine*>(nullptr),
                                          &parallel::parallel_engine(),
-                                         static_cast<const parallel::Engine*>(pool.get()),
                                          &distributed::tree_engine()}) {
     SCOPED_TRACE(engine != nullptr ? engine->name() : "default");
     core::PlannedOperatorConfig config;
@@ -86,16 +83,16 @@ TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   }
 }
 
-TEST(AllocGuardTest, ThreadPoolReductionsPerformZeroHeapAllocations) {
-  // The thread pool's per-lane partials are sized with the pool; the
-  // solvers outside the power loop (the sign sum, shift-invert) call these.
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+TEST(AllocGuardTest, ParallelEngineReductionsPerformZeroHeapAllocations) {
+  // The solvers outside the power loop (the sign sum, shift-invert) call
+  // these on the parallel engine.
+  const parallel::Engine& engine = parallel::parallel_engine();
   const std::vector<double> v(std::size_t{1} << 16, 0.5);
-  double sink = pool->reduce_sum(v);  // warm-up: worker threads are running
+  double sink = engine.reduce_sum(v);  // warm-up: the worker threads are running
   const std::uint64_t before = support::allocation_count();
   for (int rep = 0; rep < 100; ++rep) {
-    sink += pool->reduce_sum(v) + pool->reduce_abs_sum(v) +
-            pool->reduce_sum_squares(v) + pool->reduce_dot(v, v);
+    sink += engine.reduce_sum(v) + engine.reduce_abs_sum(v) +
+            engine.reduce_sum_squares(v) + engine.reduce_dot(v, v);
   }
   EXPECT_EQ(support::allocation_count(), before);
   EXPECT_EQ(sink, (0.5 + 100 * 1.5) * static_cast<double>(v.size()));

@@ -19,6 +19,7 @@
 #include "solvers/power_iteration.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "solvers/shift_invert.hpp"
+#include "test_engines.hpp"
 
 namespace qs {
 namespace {
@@ -122,15 +123,15 @@ TEST(FaultInjection, ThrowingOperatorPropagatesToTheCaller) {
   EXPECT_EQ(faulty.apply_count(), 3u);
 }
 
-class FaultyEngineTest : public ::testing::TestWithParam<parallel::Backend> {
+class FaultyEngineTest : public ::testing::TestWithParam<testing::NamedEngine> {
  protected:
-  std::unique_ptr<parallel::Engine> inner_ = make_engine(GetParam());
+  const parallel::Engine& inner_ = *GetParam().engine;
 };
 
 TEST_P(FaultyEngineTest, KernelThrowSurfacesOnTheDispatchingThread) {
   testing::FaultInjectingEngine::Config cfg;
   cfg.throw_at_dispatch = 1;
-  const testing::FaultInjectingEngine engine(*inner_, cfg);
+  const testing::FaultInjectingEngine engine(inner_, cfg);
   EXPECT_THROW(engine.dispatch(100000, [](std::size_t, std::size_t) {}),
                testing::InjectedFault);
   // The wrapped backend completed its barrier and stays usable.
@@ -144,7 +145,7 @@ TEST_P(FaultyEngineTest, KernelThrowSurfacesOnTheDispatchingThread) {
 TEST_P(FaultyEngineTest, ReduceThrowSurfacesOnTheDispatchingThread) {
   testing::FaultInjectingEngine::Config cfg;
   cfg.throw_at_reduce = 1;
-  const testing::FaultInjectingEngine engine(*inner_, cfg);
+  const testing::FaultInjectingEngine engine(inner_, cfg);
   EXPECT_THROW(
       engine.reduce_partials(100000, [](std::size_t, std::size_t) { return 0.0; }),
       testing::InjectedFault);
@@ -159,7 +160,7 @@ TEST_P(FaultyEngineTest, PairedReduceThrowSurfacesOnTheDispatchingThread) {
   // in one block's kernel takes the backend's capture-barrier-rethrow path.
   testing::FaultInjectingEngine::Config cfg;
   cfg.throw_at_dispatch = 1;
-  const testing::FaultInjectingEngine engine(*inner_, cfg);
+  const testing::FaultInjectingEngine engine(inner_, cfg);
   EXPECT_THROW(engine.reduce_pair(100000,
                                   [](std::size_t, std::size_t) {
                                     return parallel::PairSum{0.0, 0.0};
@@ -180,7 +181,7 @@ TEST_P(FaultyEngineTest, ThrowInsideTheButterflyDispatchPath) {
   const auto landscape = test_landscape();
   testing::FaultInjectingEngine::Config cfg;
   cfg.throw_at_dispatch = 10;
-  const testing::FaultInjectingEngine engine(*inner_, cfg);
+  const testing::FaultInjectingEngine engine(inner_, cfg);
   const core::FmmpOperator op(model, landscape, core::Formulation::right, &engine);
   solvers::PowerOptions opts;
   opts.engine = &engine;
@@ -190,17 +191,8 @@ TEST_P(FaultyEngineTest, ThrowInsideTheButterflyDispatchPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FaultyEngineTest,
-                         ::testing::Values(parallel::Backend::serial,
-                                           parallel::Backend::openmp,
-                                           parallel::Backend::thread_pool),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case parallel::Backend::serial: return "serial";
-                             case parallel::Backend::openmp: return "openmp";
-                             case parallel::Backend::thread_pool: return "thread_pool";
-                           }
-                           return "unknown";
-                         });
+                         ::testing::ValuesIn(testing::all_engines()),
+                         testing::engine_name);
 
 // ---------------------------------------------------------------------------
 // Checkpoint I/O failure: durability degrades, the solve does not die.

@@ -12,15 +12,16 @@
 
 #include "core/mutation_model.hpp"
 #include "distributed/reduction.hpp"
-#include "parallel/thread_pool_backend.hpp"
+#include "support/contracts.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::parallel {
 namespace {
 
-class EngineTest : public ::testing::TestWithParam<Backend> {
+class EngineTest : public ::testing::TestWithParam<testing::NamedEngine> {
  protected:
-  std::unique_ptr<Engine> engine_ = make_engine(GetParam());
+  const Engine* engine_ = GetParam().engine;
 };
 
 TEST_P(EngineTest, DispatchCoversEveryIndexExactlyOnce) {
@@ -163,9 +164,9 @@ std::vector<std::size_t> pair_sizes(const Engine& engine) {
 // barriers are invisible to it (every OpenMP case of EngineTest reports
 // under -L tsan), so the OpenMP checks live in solvers_power_loop_test.cpp
 // and fault_injection_test.cpp, outside the TSan suite.
-class PairReductionTest : public ::testing::TestWithParam<Backend> {
+class PairReductionTest : public ::testing::TestWithParam<testing::NamedEngine> {
  protected:
-  std::unique_ptr<Engine> engine_ = make_engine(GetParam());
+  const Engine* engine_ = GetParam().engine;
 };
 
 TEST_P(PairReductionTest, ReducePairIsRepeatableAndSumsBothComponents) {
@@ -186,7 +187,7 @@ TEST_P(PairReductionTest, ReducePairIsRepeatableAndSumsBothComponents) {
           n, [&data, second](std::size_t begin, std::size_t end) {
             return data.scalar(begin, end, second);
           });
-      if (GetParam() == Backend::serial) {
+      if (engine_->concurrency() == 1) {
         // One lane: exactly reduce_partials of the matching scalar kernel.
         EXPECT_EQ(bits(first[second ? 1 : 0]), bits(scalar)) << "n=" << n;
       } else {
@@ -216,12 +217,13 @@ TEST_P(PairReductionTest, ReducePairPropagatesKernelExceptions) {
   EXPECT_LE(total[1], static_cast<double>(Engine::kMaxPairBlocks));
 }
 
-INSTANTIATE_TEST_SUITE_P(SerialAndThreadPool, PairReductionTest,
-                         ::testing::Values(Backend::serial, Backend::thread_pool),
-                         [](const auto& info) {
-                           return info.param == Backend::serial ? "serial"
-                                                                : "thread_pool";
-                         });
+INSTANTIATE_TEST_SUITE_P(SerialAndThreaded, PairReductionTest,
+                         ::testing::Values(testing::NamedEngine{"serial",
+                                                                &serial_engine()},
+                                           testing::NamedEngine{
+                                               "threaded",
+                                               &testing::threaded_test_engine()}),
+                         testing::engine_name);
 
 TEST(TreeEngine, ReducePairMatchesReducePartialsPerComponent) {
   const Engine& tree = distributed::tree_engine();
@@ -261,49 +263,47 @@ TEST_P(EngineTest, HasNonEmptyName) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, EngineTest,
-                         ::testing::Values(Backend::serial, Backend::openmp,
-                                           Backend::thread_pool),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Backend::serial: return "serial";
-                             case Backend::openmp: return "openmp";
-                             case Backend::thread_pool: return "thread_pool";
-                           }
-                           return "unknown";
-                         });
+                         ::testing::ValuesIn(testing::all_engines()),
+                         testing::engine_name);
 
-TEST(ThreadPool, ExplicitThreadCountAndFmmpAgreement) {
-  // A pool with several genuine std::threads must reproduce the serial
-  // butterfly bit for bit (the kernel bodies are identical arithmetic).
-  const auto pool = make_engine(Backend::thread_pool);
-  EXPECT_GE(pool->concurrency(), 1u);
-  EXPECT_EQ(pool->name(), "thread-pool");
+TEST(ThreadedTestEngine, ExplicitLaneCountAndFmmpAgreement) {
+  // Several genuine std::threads must reproduce the serial butterfly bit for
+  // bit (the kernel bodies are identical arithmetic).
+  const testing::ThreadedTestEngine threaded(4);
+  EXPECT_EQ(threaded.concurrency(), 4u);
+  EXPECT_EQ(threaded.name(), "threaded-test");
 
   const auto model = qs::core::MutationModel::uniform(10, 0.03);
-  std::vector<double> serial(1024), pooled(1024);
+  std::vector<double> serial(1024), threaded_out(1024);
   qs::Xoshiro256 rng(5);
-  for (std::size_t i = 0; i < 1024; ++i) serial[i] = pooled[i] = rng.uniform();
+  for (std::size_t i = 0; i < 1024; ++i) serial[i] = threaded_out[i] = rng.uniform();
   model.apply(serial);
-  model.apply(pooled, *pool);
-  for (std::size_t i = 0; i < 1024; ++i) ASSERT_DOUBLE_EQ(serial[i], pooled[i]);
+  model.apply(threaded_out, threaded);
+  for (std::size_t i = 0; i < 1024; ++i) ASSERT_DOUBLE_EQ(serial[i], threaded_out[i]);
 }
 
-TEST(ThreadPool, ManyThreadsOnFewItems) {
+TEST(ThreadedTestEngine, ManyLanesOnFewItems) {
   // More lanes than work: chunking must stay correct.
-  qs::parallel::ThreadPoolBackend pool(8);
-  EXPECT_EQ(pool.concurrency(), 8u);
+  const testing::ThreadedTestEngine threaded(8);
+  EXPECT_EQ(threaded.concurrency(), 8u);
   std::vector<double> out(3, 0.0);
-  pool.dispatch(3, [&](std::size_t begin, std::size_t end) {
+  threaded.dispatch(3, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) out[i] += 1.0;
   });
   for (double v : out) EXPECT_EQ(v, 1.0);
-  // Repeated dispatches reuse the same workers (barrier generations).
+  // Repeated dispatches each start and join their own threads.
   for (int round = 0; round < 50; ++round) {
-    pool.dispatch(3, [&](std::size_t begin, std::size_t end) {
+    threaded.dispatch(3, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) out[i] += 1.0;
     });
   }
   for (double v : out) EXPECT_EQ(v, 51.0);
+}
+
+TEST(ThreadedTestEngine, RefusesLaneCountsOutsideOneToEight) {
+  EXPECT_THROW(testing::ThreadedTestEngine(0), precondition_error);
+  EXPECT_THROW(testing::ThreadedTestEngine(testing::ThreadedTestEngine::kMaxLanes + 1),
+               precondition_error);
 }
 
 TEST(EngineSingletons, Available) {

@@ -17,6 +17,7 @@
 #include "parallel/engine.hpp"
 #include "solvers/deflation.hpp"
 #include "solvers/quasispecies_solver.hpp"
+#include "test_engines.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -83,14 +84,11 @@ TEST(BlockPower, DominantPairMatchesFacadeSolveAcrossBackends) {
   const auto facade = solve(model, landscape);
   ASSERT_TRUE(facade.converged);
 
-  for (parallel::Backend kind : {parallel::Backend::serial,
-                                 parallel::Backend::openmp,
-                                 parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
+  for (const auto& [name, engine] : testing::all_engines()) {
     BlockPowerOptions opts;
     opts.k = 2;
     opts.tolerance = 1e-11;
-    opts.engine = engine.get();
+    opts.engine = engine;
     const auto r = top_k_spectrum(model, landscape, opts);
     ASSERT_TRUE(r.converged);
     EXPECT_NEAR(r.eigenvalues[0], facade.eigenvalue, 1e-9 * facade.eigenvalue);
@@ -169,13 +167,10 @@ TEST(LandscapeFamily, GroupedModelAndBackendsAgree) {
       core::Landscape::random(nu, 5.0, 1.0, 29)};
 
   std::vector<double> reference;
-  for (parallel::Backend kind : {parallel::Backend::serial,
-                                 parallel::Backend::openmp,
-                                 parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
+  for (const auto& [name, engine] : testing::all_engines()) {
     analysis::FamilyOptions fopts;
     fopts.tolerance = 1e-12;
-    fopts.engine = engine.get();
+    fopts.engine = engine;
     const auto r = analysis::sweep_landscape_family(model, family, fopts);
     ASSERT_TRUE(r.converged);
     if (reference.empty()) {

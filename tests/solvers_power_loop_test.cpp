@@ -370,9 +370,10 @@ TEST(PowerLoopPasses, CheckedIterationMakesTwoAllreducesOverTheExchange) {
 TEST(PowerLoopDeterminism, ReducePairRepeatsBitwiseOnOpenMP) {
   // The fixed block order makes a paired sum repeatable where OpenMP's
   // reduction clause leaves the order unspecified.  This runs here rather
-  // than with the serial and thread-pool cases in parallel_engine_test.cpp,
-  // which is also the TSan suite: TSan cannot see libgomp's barriers.
-  const auto engine = parallel::make_engine(parallel::Backend::openmp);
+  // than with the serial and threaded-test-engine cases in
+  // parallel_engine_test.cpp, which is also the TSan suite: TSan cannot see
+  // libgomp's barriers.
+  const parallel::Engine* engine = &parallel::parallel_engine();
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                               std::size_t{engine->concurrency() - 1},
                               (std::size_t{1} << 16) + 5}) {

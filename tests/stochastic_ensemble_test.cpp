@@ -14,6 +14,7 @@
 #include "stochastic/wright_fisher.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::stochastic {
 namespace {
@@ -107,7 +108,7 @@ TEST(ReplicaEnsemble, BatchedAndSequentialExpectedAgree) {
   }
 }
 
-std::vector<std::vector<std::uint64_t>> run_counts(parallel::Backend backend,
+std::vector<std::vector<std::uint64_t>> run_counts(const parallel::Engine& engine,
                                                    std::uint64_t generations) {
   const unsigned nu = 6;
   const auto model = core::MutationModel::uniform(nu, 0.02);
@@ -116,8 +117,7 @@ std::vector<std::vector<std::uint64_t>> run_counts(parallel::Backend backend,
   options.replicas = 5;  // final panel chunk is narrower than the width
   options.population_size = 2000;
   options.seed = 42;
-  const auto engine = parallel::make_engine(backend);
-  ReplicaEnsemble ensemble(model, landscape, options, engine.get());
+  ReplicaEnsemble ensemble(model, landscape, options, &engine);
   for (std::uint64_t g = 0; g < generations; ++g) ensemble.step();
   std::vector<std::vector<std::uint64_t>> counts;
   for (std::size_t r = 0; r < ensemble.replicas(); ++r) {
@@ -131,14 +131,14 @@ TEST(ReplicaEnsemble, TrajectoryIsBitIdenticalAcrossBackends) {
   // The reproducibility contract: per-replica RNG streams, elementwise
   // panel work, and fixed-order normaliser reductions make the whole
   // resampled trajectory independent of the backend and thread count.
-  const auto serial = run_counts(parallel::Backend::serial, 15);
-  const auto openmp = run_counts(parallel::Backend::openmp, 15);
-  const auto pool = run_counts(parallel::Backend::thread_pool, 15);
+  const auto serial = run_counts(parallel::serial_engine(), 15);
+  const auto openmp = run_counts(parallel::parallel_engine(), 15);
+  const auto threaded = run_counts(testing::threaded_test_engine(), 15);
   ASSERT_EQ(serial.size(), openmp.size());
-  ASSERT_EQ(serial.size(), pool.size());
+  ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t r = 0; r < serial.size(); ++r) {
     ASSERT_EQ(serial[r], openmp[r]) << "replica " << r;
-    ASSERT_EQ(serial[r], pool[r]) << "replica " << r;
+    ASSERT_EQ(serial[r], threaded[r]) << "replica " << r;
   }
 }
 
@@ -152,9 +152,8 @@ TEST(ReplicaEnsemble, MoranEnsembleConservesAndIsBitIdentical) {
   options.process = EnsembleProcess::moran;
   options.seed = 7;
 
-  auto run = [&](parallel::Backend backend) {
-    const auto engine = parallel::make_engine(backend);
-    ReplicaEnsemble ensemble(model, landscape, options, engine.get());
+  auto run = [&](const parallel::Engine& engine) {
+    ReplicaEnsemble ensemble(model, landscape, options, &engine);
     for (int g = 0; g < 8; ++g) ensemble.step();
     std::vector<std::vector<std::uint64_t>> counts;
     for (std::size_t r = 0; r < ensemble.replicas(); ++r) {
@@ -164,10 +163,10 @@ TEST(ReplicaEnsemble, MoranEnsembleConservesAndIsBitIdentical) {
     }
     return counts;
   };
-  const auto serial = run(parallel::Backend::serial);
-  const auto pool = run(parallel::Backend::thread_pool);
+  const auto serial = run(parallel::serial_engine());
+  const auto threaded = run(testing::threaded_test_engine());
   for (std::size_t r = 0; r < serial.size(); ++r) {
-    ASSERT_EQ(serial[r], pool[r]) << "replica " << r;
+    ASSERT_EQ(serial[r], threaded[r]) << "replica " << r;
   }
 }
 

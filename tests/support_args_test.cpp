@@ -63,10 +63,13 @@ TEST(ArgParser, NumericValidation) {
   EXPECT_THROW(args.get_long("nu", 0, 1, 100), precondition_error);  // range
 }
 
-TEST(ArgParser, ProvidedOptionNames) {
+TEST(ArgParser, UnknownOptionIsTheFirstProvidedNameOutsideTheKnownList) {
   const auto args = parse({"prog", "--a", "1", "--b=2", "--c"});
-  const auto names = args.provided_options();
-  EXPECT_EQ(names.size(), 3u);
+  constexpr std::string_view all[] = {"a", "b", "c", "d"};
+  EXPECT_EQ(args.unknown_option(all), std::nullopt);
+  constexpr std::string_view without_b_and_c[] = {"a", "d"};
+  EXPECT_EQ(args.unknown_option(without_b_and_c), "b");
+  EXPECT_EQ(parse({"prog"}).unknown_option({}), std::nullopt);
 }
 
 }  // namespace

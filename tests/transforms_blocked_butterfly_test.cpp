@@ -1,6 +1,6 @@
 // Cross-backend equivalence tests for the cache-blocked banded butterfly:
-// every engine path of MutationModel::apply (serial, openmp, thread_pool,
-// and the blocked kernel at several tile sizes) must match the serial
+// every engine path of MutationModel::apply (serial, openmp, the threaded
+// test engine, and the blocked kernel at several tile sizes) must match the serial
 // reference apply_butterfly to <= 1e-14, per-site asymmetric factors
 // included.
 #include "transforms/blocked_butterfly.hpp"
@@ -12,8 +12,8 @@
 #include "core/fmmp.hpp"
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
-#include "parallel/thread_pool_backend.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 #include "transforms/butterfly.hpp"
 
 namespace qs::transforms {
@@ -47,8 +47,6 @@ void expect_near_all(const std::vector<double>& expected,
 }
 
 TEST(BlockedButterfly, AllBackendsMatchSerialReferenceAcrossNu) {
-  const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
-                         parallel::Backend::thread_pool};
   for (unsigned nu = 1; nu <= 14; ++nu) {
     const auto model = core::MutationModel::per_site(asymmetric_factors(nu, nu));
     const std::size_t n = std::size_t{1} << nu;
@@ -57,8 +55,7 @@ TEST(BlockedButterfly, AllBackendsMatchSerialReferenceAcrossNu) {
     std::vector<double> reference = x;
     apply_butterfly(reference, model.site_factors());
 
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
+    for (const auto& [name, engine] : testing::all_engines()) {
       std::vector<double> v = x;
       model.apply(v, *engine);
       expect_near_all(reference, v, kTol);
@@ -73,7 +70,7 @@ TEST(BlockedButterfly, SeveralTileSizesMatchReference) {
       {.tile_log2 = 10, .chunk_log2 = 6},
       {.tile_log2 = 14, .chunk_log2 = 6},
   };
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const auto& threaded = testing::threaded_test_engine();
   for (unsigned nu = 1; nu <= 14; ++nu) {
     const auto model = core::MutationModel::per_site(asymmetric_factors(nu, 200 + nu));
     const std::size_t n = std::size_t{1} << nu;
@@ -87,9 +84,9 @@ TEST(BlockedButterfly, SeveralTileSizesMatchReference) {
       model.apply_blocked(serial_v, parallel::serial_engine(), plan);
       expect_near_all(reference, serial_v, kTol);
 
-      std::vector<double> pooled_v = x;
-      model.apply_blocked(pooled_v, *pool, plan);
-      expect_near_all(reference, pooled_v, kTol);
+      std::vector<double> threaded_v = x;
+      model.apply_blocked(threaded_v, threaded, plan);
+      expect_near_all(reference, threaded_v, kTol);
     }
   }
 }
@@ -113,8 +110,6 @@ TEST(BlockedButterfly, FusedFmmpFormulationsMatchSerialOperator) {
   const std::size_t n = std::size_t{1} << nu;
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
   const auto x = random_vector(n, 42);
-  const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
-                         parallel::Backend::thread_pool};
 
   // The symmetric formulation needs a symmetric model; right/left take the
   // general asymmetric per-site factors.
@@ -129,14 +124,13 @@ TEST(BlockedButterfly, FusedFmmpFormulationsMatchSerialOperator) {
     const core::FmmpOperator serial_op(model, landscape, formulation);
     serial_op.apply(x, reference);
 
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
-      const core::FmmpOperator fused(model, landscape, formulation, engine.get());
+    for (const auto& [name, engine] : testing::all_engines()) {
+      const core::FmmpOperator fused(model, landscape, formulation, engine);
       std::vector<double> y(n);
       fused.apply(x, y);
       expect_near_all(reference, y, kTol);
 
-      const core::FmmpOperator per_level(model, landscape, formulation, engine.get(),
+      const core::FmmpOperator per_level(model, landscape, formulation, engine,
                                          transforms::LevelOrder::ascending,
                                          core::EngineKernel::per_level);
       std::vector<double> z(n);
@@ -163,18 +157,16 @@ TEST(BlockedButterfly, NuOneSingleLevel) {
   const auto model = core::MutationModel::per_site({Factor2::asymmetric(0.1, 0.3)});
   std::vector<double> reference{0.7, 0.3};
   apply_butterfly(reference, model.site_factors());
-  for (parallel::Backend kind :
-       {parallel::Backend::serial, parallel::Backend::openmp, parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
+  for (const auto& [name, engine] : testing::all_engines()) {
     std::vector<double> v{0.7, 0.3};
     model.apply(v, *engine);
     expect_near_all(reference, v, kTol);
   }
 }
 
-TEST(BlockedButterfly, SingleThreadPoolMatchesReference) {
-  const parallel::ThreadPoolBackend pool(1);
-  ASSERT_EQ(pool.concurrency(), 1u);
+TEST(BlockedButterfly, SingleLaneThreadedEngineMatchesReference) {
+  const testing::ThreadedTestEngine one_lane(1);
+  ASSERT_EQ(one_lane.concurrency(), 1u);
   for (unsigned nu : {1u, 6u, 12u}) {
     const auto model = core::MutationModel::per_site(asymmetric_factors(nu, 600 + nu));
     const std::size_t n = std::size_t{1} << nu;
@@ -183,7 +175,7 @@ TEST(BlockedButterfly, SingleThreadPoolMatchesReference) {
     std::vector<double> reference = x;
     apply_butterfly(reference, model.site_factors());
     std::vector<double> v = x;
-    model.apply(v, pool);
+    model.apply(v, one_lane);
     expect_near_all(reference, v, kTol);
   }
 }

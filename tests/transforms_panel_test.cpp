@@ -16,6 +16,7 @@
 #include "core/mutation_model.hpp"
 #include "parallel/engine.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
 #include "transforms/kronecker.hpp"
@@ -25,10 +26,6 @@ namespace qs::transforms {
 namespace {
 
 constexpr double kTol = 1e-14;
-
-const std::initializer_list<parallel::Backend> kBackends = {
-    parallel::Backend::serial, parallel::Backend::openmp,
-    parallel::Backend::thread_pool};
 
 // Panel widths covering every microkernel regime: scalar (1), below SIMD
 // width (2, 3), exactly SIMD width (4), SIMD width + tail (5), two SIMD
@@ -104,8 +101,7 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
         pack_panel_column(columns[j], panel, m, j);
         apply_butterfly(columns[j], factors);
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (const auto& [name, engine] : testing::all_engines()) {
         std::vector<double> work = panel;
         apply_blocked_panel_butterfly(work, m, factors, *engine);
         std::vector<double> column(n);
@@ -165,8 +161,7 @@ TEST(PanelButterfly, FusedBroadcastScalingsMatchSingleVectorFused) {
         apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
                                       parallel::serial_engine(), plan_for(tier));
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (const auto& [name, engine] : testing::all_engines()) {
         std::vector<double> out(n * m);
         apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
                                             *engine);
@@ -200,8 +195,7 @@ TEST(PanelButterfly, PerColumnScalingsGiveEachColumnItsOwnDiagonal) {
       apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
                                     parallel::serial_engine());
     }
-    for (parallel::Backend kind : kBackends) {
-      const auto engine = parallel::make_engine(kind);
+    for (const auto& [name, engine] : testing::all_engines()) {
       std::vector<double> out = panel;
       apply_blocked_panel_butterfly_fused(out, out, m, factors, pre_panel,
                                           post_panel, *engine);
@@ -384,8 +378,7 @@ TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
       }
     }
 
-    for (parallel::Backend kind : kBackends) {
-      const auto engine = parallel::make_engine(kind);
+    for (const auto& [name, engine] : testing::all_engines()) {
       std::vector<double> out(n * m);
       apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
                                           *engine, BlockedPlan{});
@@ -424,10 +417,9 @@ TEST(PanelWide, OperatorPanelRoutesWideWidthsThroughWidePath) {
   const auto model = core::MutationModel::uniform(nu, 0.01);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 37);
   constexpr std::size_t kColBlock = 8;
-  for (parallel::Backend kind : kBackends) {
-    const auto engine = parallel::make_engine(kind);
+  for (const auto& [name, engine] : testing::all_engines()) {
     const core::FmmpOperator op(model, landscape, core::Formulation::right,
-                                engine.get());
+                                engine);
     for (std::size_t m : {16ul, 32ul}) {
       std::vector<double> panel(n * m);
       std::vector<std::vector<double>> columns(m);
@@ -501,8 +493,7 @@ TEST(BlockedKronecker, MatchesSerialReferenceAcrossGroupShapes) {
         pack_panel_column(reference[j], panel, m, j);
         kp.apply(reference[j]);
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (const auto& [name, engine] : testing::all_engines()) {
         for (const BlockedPlan plan :
              {BlockedPlan{}, BlockedPlan{4, 2}, BlockedPlan{7, 3}}) {
           std::vector<double> work = panel;
@@ -527,8 +518,7 @@ TEST(BlockedKronecker, GroupedMutationModelEnginePathsMatchSerial) {
   std::vector<double> reference = random_vector(n, 12);
   const std::vector<double> input = reference;
   model.apply(reference);
-  for (parallel::Backend kind : kBackends) {
-    const auto engine = parallel::make_engine(kind);
+  for (const auto& [name, engine] : testing::all_engines()) {
     std::vector<double> v = input;
     model.apply(std::span<double>(v), *engine);
     expect_near_all(reference, v, kTol);
@@ -555,8 +545,7 @@ TEST(PanelFmmp, MutationModelPanelMatchesPerColumnApply) {
         pack_panel_column(reference[j], panel, m, j);
         model.apply(reference[j]);
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (const auto& [name, engine] : testing::all_engines()) {
         std::vector<double> work = panel;
         model.apply_panel(work, m, *engine);
         std::vector<double> column(n);
@@ -584,11 +573,10 @@ TEST(PanelFmmp, OperatorPanelMatchesPerColumnApplyAllFormulations) {
          {core::Formulation::right, core::Formulation::symmetric,
           core::Formulation::left}) {
       if (form == core::Formulation::symmetric && !model.symmetric()) continue;
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (const auto& [name, engine] : testing::all_engines()) {
         for (SvKernel tier : available_sv_tiers()) {
           SCOPED_TRACE(to_string(tier));
-          const core::FmmpOperator op(model, landscape, form, engine.get(),
+          const core::FmmpOperator op(model, landscape, form, engine,
                                       LevelOrder::ascending,
                                       core::EngineKernel::blocked,
                                       plan_for(tier));

@@ -15,6 +15,7 @@
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
+#include "test_engines.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -159,9 +160,6 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
   // The whole banded apply — every tier, every fused radix, every backend —
   // against the forced-autovec path.  This is the acceptance criterion of
   // the microkernel layer: identical banding, identical per-element math.
-  const std::initializer_list<parallel::Backend> backends = {
-      parallel::Backend::serial, parallel::Backend::openmp,
-      parallel::Backend::thread_pool};
   const SvKernel tiers[] = {SvKernel::automatic, SvKernel::avx2,
                             SvKernel::avx512};
   for (unsigned nu : {4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 16u, 22u}) {
@@ -175,8 +173,7 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
     apply_blocked_butterfly(reference, factors, parallel::serial_engine(),
                             reference_plan);
 
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
+    for (const auto& [name, engine] : testing::all_engines()) {
       for (SvKernel tier : tiers) {
         for (unsigned radix : {2u, 4u, 8u}) {
           BlockedPlan plan;
@@ -186,8 +183,7 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
           apply_blocked_butterfly(v, factors, *engine, plan);
           SCOPED_TRACE(::testing::Message()
                        << "nu=" << nu << " tier=" << to_string(tier)
-                       << " radix=" << radix << " backend="
-                       << static_cast<int>(kind));
+                       << " radix=" << radix << " backend=" << name);
           expect_bitwise(reference, v, "apply_blocked_butterfly");
         }
       }

@@ -16,6 +16,7 @@
 // threshold.
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <vector>
 
 #include "quasispecies.hpp"
@@ -35,7 +36,7 @@ void print_usage() {
       "                     half is time-averaged unless --window is given)\n"
       "  --window W         explicit time-averaging window\n"
       "  --process KIND     wright-fisher (default) or moran\n"
-      "  --backend KIND     serial (default), openmp, or thread-pool\n"
+      "  --backend KIND     serial (default) or openmp\n"
       "  --panel-width M    columns per interleaved panel (default 8)\n"
       "  --sequential       per-replica single-vector products (reference\n"
       "                     path; the default is the batched panel path)\n"
@@ -52,6 +53,12 @@ void print_usage() {
 struct CliError {
   std::string message;
 };
+
+/// Every option main() reads; anything else is refused rather than ignored.
+constexpr std::string_view kKnownOptions[] = {
+    "backend", "c", "ensemble-out", "generations", "help", "landscape", "metrics",
+    "nu", "p", "p-from", "p-points", "p-to", "panel-width", "peak", "pop", "process",
+    "replicas", "rest", "seed", "sequential", "sigma", "start", "trace-json", "window"};
 
 void setup_observability(const qs::ArgParser& args) {
   if (!args.has("trace-json") && !args.has("metrics")) return;
@@ -127,6 +134,9 @@ void write_ensemble_json(const std::string& path, unsigned nu,
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (const auto unknown = args.unknown_option(kKnownOptions)) {
+      throw CliError{"unknown option --" + *unknown + " (try --help)"};
+    }
     if (args.has("help")) {
       print_usage();
       return 0;
@@ -175,15 +185,12 @@ int main(int argc, char** argv) {
     const bool batched = !args.has("sequential");
 
     const std::string backend_name = args.get("backend", "serial");
-    qs::parallel::Backend backend = qs::parallel::Backend::serial;
-    if (backend_name == "openmp") {
-      backend = qs::parallel::Backend::openmp;
-    } else if (backend_name == "thread-pool") {
-      backend = qs::parallel::Backend::thread_pool;
-    } else if (backend_name != "serial") {
+    if (backend_name != "serial" && backend_name != "openmp") {
       throw CliError{"unknown backend '" + backend_name + "'"};
     }
-    const auto engine = qs::parallel::make_engine(backend);
+    const qs::parallel::Engine* engine = backend_name == "openmp"
+                                             ? &qs::parallel::parallel_engine()
+                                             : &qs::parallel::serial_engine();
     setup_observability(args);
 
     const std::string kind = args.get("landscape", "single-peak");
@@ -223,7 +230,7 @@ int main(int argc, char** argv) {
       const auto deterministic = qs::solvers::solve(model, landscape);
 
       qs::stochastic::ReplicaEnsemble ensemble(model, landscape, options,
-                                               engine.get());
+                                               engine);
       qs::Timer timer;
       ensemble.run(generations, window, batched,
                    [] { return qs::shutdown_requested(); });

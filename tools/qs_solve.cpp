@@ -113,14 +113,6 @@ constexpr std::string_view kKnownOptions[] = {
     "ranks", "reduced", "rest", "resume", "save-landscape", "seed", "sigma", "solver",
     "tile-log2", "tolerance", "top", "trace-json"};
 
-void reject_unknown_options(const qs::ArgParser& args) {
-  for (const std::string& name : args.provided_options()) {
-    if (std::find(std::begin(kKnownOptions), std::end(kKnownOptions), name) ==
-        std::end(kKnownOptions)) {
-      throw CliError{"unknown option --" + name + " (try --help)"};
-    }
-  }
-}
 
 /// Thrown when SIGINT/SIGTERM stopped the solve at an iteration boundary:
 /// the driver has already flushed a final checkpoint (when --checkpoint is
@@ -291,7 +283,9 @@ void write_classes_csv(const std::string& path, std::span<const double> classes)
 }
 
 int run(const qs::ArgParser& args) {
-  reject_unknown_options(args);
+  if (const auto unknown = args.unknown_option(kKnownOptions)) {
+    throw CliError{"unknown option --" + *unknown + " (try --help)"};
+  }
   if (args.has("help")) {
     print_usage();
     return 0;
